@@ -209,7 +209,7 @@ func BenchmarkInsertBatch(b *testing.B) {
 var pipelineBenchSpec = sketch.Spec{MemoryBytes: 1 << 20, Lambda: 25, Seed: 1, Shards: 8}
 
 // BenchmarkPipelineIngest measures the ingest plane end to end — submit,
-// per-worker delta accumulation, fold — at 1, 4, and 8 workers on the
+// queue hand-off, per-batch landing — at 1, 4, and 8 workers on the
 // sharded core sketch. Per-op time is per item, so items/sec compares
 // directly against BenchmarkInsertBatch/Ours_sharded8 (the single-writer
 // baseline): the acceptance bar is ≥ 3× at 8 workers. CI records both in
@@ -219,14 +219,9 @@ func BenchmarkPipelineIngest(b *testing.B) {
 	const chunk = 4096 // the same ingestion quantum BenchmarkInsertBatch uses
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("Ours_sharded8/workers=%d", workers), func(b *testing.B) {
-			// A big flush quantum amortizes the merge walk (a fold visits
-			// the whole delta regardless of item count), keeping the
-			// per-item overhead low enough that throughput scales with
-			// workers instead of drowning in folds.
 			a, err := ingest.NewAsyncIngester("Ours", pipelineBenchSpec, ingest.Tuning{
-				Workers:    workers,
-				Queue:      128,
-				FlushItems: 1 << 17,
+				Workers: workers,
+				Queue:   128,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -28,8 +28,8 @@
 //
 // With -ingest-workers N > 0, the shadow ingests through the async ingest
 // plane: a cumulative shadow becomes an ingest.AsyncIngester, an epoch-ring
-// shadow is fed through a ring pipeline with epoch-tagged batches (each
-// simulated epoch's deltas fold into their own window).
+// shadow is fed through a ring pipeline (each simulated epoch's batches
+// land in their own window before it seals).
 package main
 
 import (
@@ -129,11 +129,7 @@ func main() {
 				func() time.Time { return time.Unix(0, simNanos.Load()) })
 			advanceEpoch = func() { simNanos.Add(int64(*ep)) }
 			if *ingWorkers > 0 {
-				var err error
-				ringPipe, err = ingest.ForRing(ring, func() sketch.Sketch { return entry.Build(spec) }, tuning)
-				if err != nil {
-					log.Fatalf("rsagent: %v", err)
-				}
+				ringPipe = ingest.ForRing(ring, tuning)
 			}
 		} else if *ingWorkers > 0 {
 			var err error
@@ -194,7 +190,7 @@ func main() {
 					log.Fatalf("rsagent: shadow pipeline: %v", err)
 				}
 				ist := async.Stats()
-				fmt.Printf("shadow %s ingested via %d-worker pipeline in %v (%dB, %d folds, %d dropped)\n",
+				fmt.Printf("shadow %s ingested via %d-worker pipeline in %v (%dB, %d batches landed, %d dropped)\n",
 					shadow.Name(), *ingWorkers, time.Since(localStart).Round(time.Millisecond),
 					shadow.MemoryBytes(), ist.Folds, ist.Dropped)
 			} else {
@@ -214,14 +210,12 @@ func main() {
 					hi = s.Len()
 				}
 				if ringPipe != nil {
-					// Epoch-tagged batches: the workers fold before crossing
-					// a tag boundary, so no delta straddles a simulated
-					// epoch. After the clock advances, the read path below
-					// drains the pipeline (folding this epoch's tail into
-					// the still-active window) and then seals it — the
+					// After the clock advances, the read path below drains
+					// the pipeline (landing this epoch's batch in the
+					// still-active window) and then seals it — the
 					// replay-time equivalent of a reader observing the
 					// boundary.
-					ringPipe.Submit(ingest.Batch{Items: s.Items[lo:hi], Epoch: uint64(fed + 1)})
+					ringPipe.Submit(ingest.Batch{Items: s.Items[lo:hi]})
 					advanceEpoch()
 					ring.Rotations()
 				} else {

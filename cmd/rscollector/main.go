@@ -163,7 +163,7 @@ func main() {
 		case <-ticker.C:
 			agents, updates, queries := c.Stats()
 			ist := c.IngestStats()
-			fmt.Printf("agents=%d updates=%d queries=%d folds=%d dropped=%d\n",
+			fmt.Printf("agents=%d updates=%d queries=%d landed_batches=%d dropped=%d\n",
 				agents, updates, queries, ist.Folds, ist.Dropped)
 		case <-stop:
 			fmt.Println("\nshutting down")

@@ -30,9 +30,9 @@
 // refreshes them (stale-while-revalidate).
 //
 // Writes flow through the async ingest plane: -ingest-workers pipeline
-// workers accumulate private delta sketches and fold them into the served
-// sketch one short lock per flush; -ingest-policy picks what a full
-// -ingest-queue does (block producers, or drop and report it in the Ack).
+// workers land each acked batch in the served sketch by insertion, under
+// its own lock; -ingest-policy picks what a full -ingest-queue does (block
+// producers, or drop and report it in the Ack).
 //
 // Cluster mode scales horizontally: N replicas each run with the same
 // -peers list and their own URL as -self, exchanging sealed deltas so any

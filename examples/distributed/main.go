@@ -41,7 +41,7 @@ func main() {
 	defer collector.Close()
 	mode := "estimate-sum aggregation"
 	if collector.MergeBased() {
-		mode = "merge-based aggregation (per-batch folds into one global sketch, intersected with estimate-summing)"
+		mode = "merge-based aggregation (every batch also lands in one global sketch, intersected with estimate-summing)"
 	}
 	fmt.Printf("collector listening on %s, %s\n", collector.Addr(), mode)
 

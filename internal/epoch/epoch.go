@@ -11,6 +11,14 @@
 // into one view (cached per sealed set, so the merge cost is paid once per
 // rotation, not per query) when the sketch supports sketch.Mergeable, and
 // fall back to summing per-epoch estimates otherwise.
+//
+// Every window is built by insertion only. Writers either insert and rotate
+// in one step (Insert, InsertBatch) or land batches from an ingest
+// pipeline without rotating (InsertBatchAt): a pipeline worker may apply a
+// batch after its epoch elapsed, and the batch still belongs to the window
+// that was active when it was accepted. Rotation then follows either a
+// drain of the attached pipelines (AttachFlusher) or a batch tagged with a
+// later epoch.
 package epoch
 
 import (
@@ -41,6 +49,10 @@ type Ring struct {
 	capacity int
 	clock    Clock
 
+	// origin is the ring's creation time: epoch k (1-based, see Epoch)
+	// spans [origin+(k-1)·interval, origin+k·interval).
+	origin time.Time
+
 	// mu guards the active window and rotation bookkeeping. Sealed-window
 	// queries never take it.
 	mu      sync.Mutex
@@ -52,13 +64,13 @@ type Ring struct {
 	startedNanos atomic.Int64
 
 	// flushers are ingest-pipeline drain hooks (AttachFlusher) run from
-	// read paths when rotation is overdue, BEFORE the seal: pending deltas
-	// submitted in the closing epoch fold into it, so sealed windows stay
+	// read paths when rotation is overdue, BEFORE the seal: pending batches
+	// submitted in the closing epoch land in it, so sealed windows stay
 	// exact under async ingest. hasFlushers gates the check off the hot
 	// path; drainMu serializes concurrent readers — a late reader WAITS for
 	// the in-flight drain rather than skipping it, since sealing while
-	// another reader's drain is still folding would strand acked batches in
-	// the next window.
+	// another reader's drain is still landing batches would strand acked
+	// batches in the next window.
 	flushMu     sync.Mutex
 	flushers    []func()
 	hasFlushers atomic.Bool
@@ -68,8 +80,8 @@ type Ring struct {
 	// completed drain covered. With flushers attached, maybeRotate refuses
 	// to seal until a drain has completed for the CURRENT epoch start —
 	// closing the race where a reader checks overdue() just before the
-	// boundary, skips the drain, and would otherwise seal undrained
-	// pre-boundary deltas into the next window.
+	// boundary, skips the drain, and would otherwise strand undrained
+	// pre-boundary batches in the next window.
 	drainedFor atomic.Int64
 
 	// sealed is the immutable published history; every rotation installs a
@@ -109,6 +121,7 @@ func NewRing(f sketch.Factory, memBytes int, interval time.Duration, capacity in
 	}
 	r.active = f.New(memBytes)
 	r.started = clock()
+	r.origin = r.started
 	r.startedNanos.Store(r.started.UnixNano())
 	// Deliberately not equal to startedNanos: the first epoch of a
 	// pipelined ring must be drained before it can seal, like every other.
@@ -127,7 +140,7 @@ func (r *Ring) Interval() time.Duration { return r.interval }
 // empty sealed windows — the sliding window genuinely slides — but at most
 // capacity+1 sketches are materialized per gap, since any older ones would
 // immediately fall off the ring. A ring with attached flushers only seals
-// after a drain completed for the current epoch start, so pipeline deltas
+// after a drain completed for the current epoch start, so queued batches
 // holding pre-boundary traffic can never be stranded behind a seal.
 func (r *Ring) maybeRotate() {
 	now := r.clock()
@@ -140,12 +153,14 @@ func (r *Ring) maybeRotate() {
 		// the window active; the next poke drains and then seals.
 		return
 	}
-	n := int(gap / r.interval)
-	elapsed := n
-	if n > r.capacity+1 {
-		n = r.capacity + 1
-	}
-	for i := 0; i < n; i++ {
+	r.advance(int(gap / r.interval))
+}
+
+// advance seals the active window and moves the active epoch forward by
+// elapsed epochs, materializing at most capacity+1 windows. Callers hold
+// r.mu.
+func (r *Ring) advance(elapsed int) {
+	for i := 0; i < min(elapsed, r.capacity+1); i++ {
 		r.seal()
 	}
 	r.started = r.started.Add(r.interval * time.Duration(elapsed))
@@ -171,8 +186,8 @@ func (r *Ring) seal() {
 // ever blocking on ingest: if a writer holds the lock, it will rotate
 // itself, and the reader proceeds against the current sealed set. With
 // attached flushers, an overdue rotation first drains the ingest pipelines
-// (no lock held — their folds need mu), so the closing epoch seals with
-// every delta submitted to it.
+// (no lock held — their lands need mu), so the closing epoch seals with
+// every batch submitted to it.
 func (r *Ring) poke() {
 	if r.hasFlushers.Load() && r.overdue() {
 		r.drainFlushers()
@@ -192,12 +207,12 @@ func (r *Ring) overdue() bool {
 // drainFlushers runs every attached flusher. Concurrent readers serialize
 // on drainMu: each returns only once some complete drain finished after its
 // call began, so no caller can proceed to seal while another caller's drain
-// is still folding pre-boundary deltas. Never called with mu held: flushers
-// block on pipeline folds, which take mu through Fold.
+// is still landing pre-boundary batches. Never called with mu held:
+// flushers block on pipeline lands, which take mu through InsertBatchAt.
 func (r *Ring) drainFlushers() {
 	r.drainMu.Lock()
 	defer r.drainMu.Unlock()
-	// Capture the epoch start the drain covers BEFORE folding: if a seal
+	// Capture the epoch start the drain covers BEFORE draining: if a seal
 	// sneaks in mid-drain (it cannot, seals require drainedFor to match,
 	// but belt and suspenders), the stale stamp keeps the gate closed.
 	covers := r.startedNanos.Load()
@@ -214,10 +229,10 @@ func (r *Ring) drainFlushers() {
 // AttachFlusher registers an ingest-pipeline drain hook (typically
 // Pipeline.Drain via ForRing). Read paths call it before sealing an overdue
 // epoch, which is what keeps sealed windows exact when the ring is fed
-// through pipelines: every batch submitted before the epoch boundary folds
-// into the window that was active when it was submitted. A ring fed through
+// through pipelines: every batch submitted before the epoch boundary lands
+// in the window that was active when it was submitted. A ring fed through
 // pipelines should be written only through them — direct Insert/InsertBatch
-// calls rotate without draining and can strand late deltas in the next
+// calls rotate without draining and can strand queued batches in the next
 // window.
 func (r *Ring) AttachFlusher(f func()) {
 	r.flushMu.Lock()
@@ -226,16 +241,40 @@ func (r *Ring) AttachFlusher(f func()) {
 	r.hasFlushers.Store(true)
 }
 
-// Fold merges a pipeline worker's delta into the active window under one
-// short lock hold — the ring's write surface of the ingest plane. Unlike
-// Insert/InsertBatch it does NOT rotate first: rotation of a pipelined ring
-// is driven by the read paths, which drain every attached pipeline before
-// sealing, so a drain's folds all land in the window that was active when
-// their items were submitted. Requires a Mergeable factory product.
-func (r *Ring) Fold(delta sketch.Sketch) error {
+// Epoch returns the sequence number (1-based) of the epoch the ring's clock
+// is in now — the tag a producer stamps on a batch when it accepts it, so a
+// pipeline worker applying the batch later can still land it in that
+// epoch's window (InsertBatchAt). Lock-free; never rotates.
+func (r *Ring) Epoch() uint64 {
+	return r.epochAt(r.clock())
+}
+
+// epochAt maps a time to its 1-based epoch sequence number.
+func (r *Ring) epochAt(t time.Time) uint64 {
+	d := t.Sub(r.origin)
+	if d < 0 {
+		d = 0
+	}
+	return uint64(d/r.interval) + 1
+}
+
+// InsertBatchAt lands items as a batch accepted in epoch e (an Epoch tag).
+// While e still names the active window — even after its interval has
+// elapsed — the items land there without rotating: a batch accepted before
+// a boundary stays in its epoch however late a worker applies it. A later
+// tag first rotates exactly up to epoch e (not to wherever the clock is
+// now), so a batch accepted after a boundary is what seals the closing
+// window, and batches queued behind it still find their own. An earlier
+// tag (its epoch already sealed) lands in the active window. Tag 0 lands in
+// the active window without rotating; it is the path of pipelines attached
+// with ForRing, whose rotation follows a drain.
+func (r *Ring) InsertBatchAt(e uint64, items []stream.Item) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return sketch.Merge(r.active, delta)
+	if active := r.epochAt(r.started); e > active {
+		r.advance(int(e - active))
+	}
+	sketch.InsertBatch(r.active, items)
+	r.mu.Unlock()
 }
 
 // Insert adds value to key in the current epoch.

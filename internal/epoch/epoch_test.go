@@ -377,3 +377,37 @@ func TestTrackedWindowUnsupportedSketch(t *testing.T) {
 		t.Error("CM (no Tracked) answered TrackedWindow")
 	}
 }
+
+// TestInsertBatchAtKeepsAcceptedEpoch pins the late-apply contract: a batch
+// tagged with the epoch it was accepted in lands in that epoch's window
+// even when applied after the boundary, a later tag rotates exactly up to
+// its own epoch (not to wherever the clock is), and tag 0 never rotates.
+func TestInsertBatchAtKeepsAcceptedEpoch(t *testing.T) {
+	r, clk := newRing(t, 4)
+	e1 := r.Epoch()
+	clk.Advance(10 * time.Second)
+	e2 := r.Epoch()
+	clk.Advance(10 * time.Second)
+	if e1 != 1 || e2 != 2 || r.Epoch() != 3 {
+		t.Fatalf("epochs %d, %d, %d; want 1, 2, 3", e1, e2, r.Epoch())
+	}
+
+	r.InsertBatchAt(e1, []stream.Item{{Key: 1, Value: 100}}) // late, still active
+	if gen := r.PeekGeneration(); gen != 0 {
+		t.Fatalf("an active-epoch tag rotated the ring (generation %d)", gen)
+	}
+	r.InsertBatchAt(e2, []stream.Item{{Key: 1, Value: 40}}) // seals epoch 1 only
+	r.InsertBatchAt(0, []stream.Item{{Key: 1, Value: 5}})   // lands in epoch 2
+	if gen := r.PeekGeneration(); gen != 1 {
+		t.Fatalf("generation %d after one tagged boundary, want 1", gen)
+	}
+	if gen := r.Generation(); gen != 2 { // the read path seals epoch 2
+		t.Fatalf("generation %d after the read-path seal, want 2", gen)
+	}
+	if got := r.QueryRange(1, 1, 1); got != 100 {
+		t.Errorf("epoch 1 window holds %d, want 100", got)
+	}
+	if got := r.QueryRange(1, 0, 0); got != 45 {
+		t.Errorf("epoch 2 window holds %d, want 45", got)
+	}
+}

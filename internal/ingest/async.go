@@ -9,50 +9,49 @@ import (
 )
 
 // AsyncIngester is the sketch-level surface of the ingest plane: it wraps
-// any Mergeable registry variant behind a Pipeline, so writers enqueue
-// batches instead of taking the sketch's lock, and readers see state that
-// only ever changes by whole-delta folds. It implements sketch.Sketch,
-// sketch.BatchInserter, and sketch.BatchQuerier, so it drops into every
-// place a sketch goes — with the usual async contract: reads answer the
-// folded state; call Drain first for read-your-writes.
+// any registry variant behind a Pipeline, so writers enqueue batches
+// instead of taking the sketch's lock, and workers land them by insertion.
+// It implements sketch.Sketch, sketch.BatchInserter, and
+// sketch.BatchQuerier, so it drops into every place a sketch goes — with
+// the usual async contract: reads answer the landed state; call Drain first
+// for read-your-writes.
 type AsyncIngester struct {
 	name string
 
-	// mu guards target during folds and reads, the "one short lock per
-	// flush" of the pipeline contract. Self-synchronizing targets (sharded
-	// wrappers) still take it: a whole-batch read then sees no torn folds.
-	mu     sync.Mutex
-	target sketch.Sketch
+	// mu guards target during lands and reads. Self-synchronizing targets
+	// (sharded wrappers, selfSynced) lock per shard internally, so workers
+	// land into them without it and scale across shards; reads still take
+	// it.
+	mu         sync.Mutex
+	target     sketch.Sketch
+	selfSynced bool
 
 	pipe *Pipeline
 }
 
 // NewAsyncIngester builds the named registry variant from spec and wraps it
-// in a pipeline of t.Workers private same-Spec deltas. The variant must be
-// Mergeable — that capability is what makes delta folding sound.
+// in a pipeline of t.Workers writers.
 func NewAsyncIngester(algo string, spec sketch.Spec, t Tuning) (*AsyncIngester, error) {
 	entry, ok := sketch.Lookup(algo)
 	if !ok {
 		return nil, fmt.Errorf("ingest: unknown algorithm %q", algo)
 	}
-	if !entry.Caps.Has(sketch.CapMergeable) {
-		return nil, fmt.Errorf("ingest: %q is not Mergeable — async ingest folds deltas, which needs Merge", algo)
-	}
 	target := entry.Build(spec)
-	if _, isM := target.(sketch.Mergeable); !isM {
-		return nil, fmt.Errorf("ingest: %q registered Mergeable but built %T without Merge", algo, target)
-	}
-	a := &AsyncIngester{name: target.Name() + "_async", target: target}
-	a.pipe = New(Options{
-		Tuning:   t,
-		NewDelta: func() sketch.Sketch { return entry.Build(spec) },
-		Fold: func(delta sketch.Sketch) error {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return sketch.Merge(a.target, delta)
-		},
-	})
+	a := &AsyncIngester{name: target.Name() + "_async", target: target, selfSynced: spec.Shards > 1}
+	a.pipe = New(Options{Tuning: t, Apply: a.land})
 	return a, nil
+}
+
+// land inserts one dequeued batch into the target.
+func (a *AsyncIngester) land(b Batch) error {
+	if a.selfSynced {
+		sketch.InsertBatch(a.target, b.Items)
+		return nil
+	}
+	a.mu.Lock()
+	sketch.InsertBatch(a.target, b.Items)
+	a.mu.Unlock()
+	return nil
 }
 
 // Submit enqueues one typed batch, the native entry point.
@@ -69,14 +68,14 @@ func (a *AsyncIngester) Insert(key, value uint64) {
 	a.pipe.Submit(Batch{Items: []stream.Item{{Key: key, Value: value}}})
 }
 
-// Query answers from the folded state.
+// Query answers from the landed state.
 func (a *AsyncIngester) Query(key uint64) uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.target.Query(key)
 }
 
-// QueryWithError answers the folded state's certified interval; ok is false
+// QueryWithError answers the landed state's certified interval; ok is false
 // when the wrapped variant is not ErrorBounded.
 func (a *AsyncIngester) QueryWithError(key uint64) (est, mpe uint64, ok bool) {
 	eb, isEB := a.target.(sketch.ErrorBounded)
@@ -97,7 +96,7 @@ func (a *AsyncIngester) QueryBatch(keys []uint64, est, mpe []uint64) {
 	sketch.QueryBatch(a.target, keys, est, mpe)
 }
 
-// Drain blocks until everything accepted so far is folded — the
+// Drain blocks until everything accepted so far has landed — the
 // read-your-writes barrier.
 func (a *AsyncIngester) Drain() error { return a.pipe.Drain() }
 
@@ -115,9 +114,7 @@ func (a *AsyncIngester) Target() sketch.Sketch {
 	return a.target
 }
 
-// MemoryBytes reports the target's accounted memory. Worker deltas are
-// ingest-plane buffers, excluded exactly as the paper's accounting excludes
-// control-plane copies.
+// MemoryBytes reports the target's accounted memory.
 func (a *AsyncIngester) MemoryBytes() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -4,31 +4,29 @@
 // it, mirroring what internal/query did for the read side.
 //
 // The centerpiece is Pipeline, the async sharded writer plane: N workers
-// drain bounded queues of batches, each accumulating into a PRIVATE
-// same-Spec delta sketch, and fold the delta into the shared target under
-// one short lock per flush (on size, age, or epoch boundary) using the
-// sketch.Mergeable capability. Producers never touch the target's lock and
-// a slow sketch never stalls the wire: the queue absorbs bursts, and the
-// explicit backpressure policy (Block vs Drop) decides what happens when it
-// cannot. This is the delta-buffer-then-fold pattern production caches use
-// to keep writers off the read path, applied from wire frame to sketch.
+// drain bounded queues of batches and land each one straight in the shared
+// target under the target's own lock (Options.Apply, typically
+// sketch.InsertBatch under a mutex). Producers never touch the target's
+// lock and a slow sketch never stalls the wire: the queue absorbs bursts,
+// and the explicit backpressure policy (Block vs Drop) decides what happens
+// when it cannot. Because the target only ever changes by insertion, it
+// stays insertion-built — the state ReliableSketch's all-keys error bound
+// is proven for — instead of the sum of merged parts.
 //
 // The same Batch/Ack pair flows end to end — sketch-level AsyncIngester,
-// epoch.Ring folding (ForRing), the netsum collector's shared pipeline, and
+// epoch.Ring landing (ForRing), the netsum collector's shared pipeline, and
 // queryd's /v1/insert and /v2/ingest HTTP endpoints — so write-side
-// amortizations (per-worker hashing, one merge per flush instead of one
-// lock per frame) compose instead of being reinvented per layer.
+// machinery (routing, backpressure, the read-your-writes barrier) is built
+// once instead of per layer.
 package ingest
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/sketch"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -43,10 +41,10 @@ type Batch struct {
 	// are processed in submission order by a single worker, which is what
 	// preserves per-agent attribution; Source 0 spreads round-robin.
 	Source uint64
-	// Epoch optionally tags the batch with a producer-side epoch sequence
-	// number. A worker folds its pending delta before accumulating a batch
-	// whose tag differs from the delta's, so deltas never straddle a
-	// producer-declared epoch seal. 0 means untagged.
+	// Epoch optionally tags the batch with the epoch it was accepted in (an
+	// epoch.Ring.Epoch sequence number), so a ring target can land it in
+	// that epoch's window even when a worker applies it after the boundary
+	// (epoch.Ring.InsertBatchAt). 0 means untagged.
 	Epoch uint64
 }
 
@@ -98,38 +96,26 @@ func ParsePolicy(s string) (Policy, error) {
 
 // Defaults for Tuning's zero fields.
 const (
-	// DefaultWorkers is deliberately modest: each worker owns a full
-	// same-Spec delta sketch, so workers cost memory, and two already
-	// decouple producers from fold latency. Raise it to scale ingest with
-	// cores.
+	// DefaultWorkers is deliberately modest: two workers already take
+	// decode-to-insert latency off the producer, and every worker lands its
+	// batches under the target's own lock, so more workers only pay off on
+	// self-synchronizing (sharded) targets with cores to spare.
 	DefaultWorkers = 2
 	// DefaultQueue bounds each worker's queue in batches, not items: a
 	// batch is the unit producers block or drop on.
 	DefaultQueue = 64
-	// DefaultFlushItems is the delta-size flush threshold. Large enough to
-	// amortize the merge walk (a fold visits the whole delta regardless of
-	// how few items it holds), small enough to bound staleness.
-	DefaultFlushItems = 8192
-	// DefaultFlushAge bounds how long a trickle of items can sit unfolded.
-	DefaultFlushAge = 50 * time.Millisecond
 )
 
 // Tuning is the operator-visible pipeline shape, the struct the daemons'
 // -ingest-workers/-ingest-queue/-ingest-policy flags fill. Zero fields take
 // the defaults above.
 type Tuning struct {
-	// Workers is the number of writer goroutines (and private deltas).
+	// Workers is the number of writer goroutines.
 	Workers int
 	// Queue is each worker's bounded queue capacity in batches.
 	Queue int
 	// Policy picks what a full queue does to Submit: Block or Drop.
 	Policy Policy
-	// FlushItems folds a worker's delta once it holds this many items.
-	FlushItems int
-	// FlushAge folds a non-empty delta at least this often, so quiet
-	// sources still become visible. Deployments folding into an epoch ring
-	// should keep it well under the epoch interval.
-	FlushAge time.Duration
 }
 
 // withDefaults resolves zero fields.
@@ -140,40 +126,22 @@ func (t Tuning) withDefaults() Tuning {
 	if t.Queue <= 0 {
 		t.Queue = DefaultQueue
 	}
-	if t.FlushItems <= 0 {
-		t.FlushItems = DefaultFlushItems
-	}
-	if t.FlushAge <= 0 {
-		t.FlushAge = DefaultFlushAge
-	}
 	return t
 }
 
-// Options configures a Pipeline: the tuning knobs plus the hooks binding it
-// to a concrete target. At least one of Apply and Fold must be set.
+// Options configures a Pipeline: the tuning knobs plus the hook binding it
+// to a concrete target.
 type Options struct {
 	Tuning
 
-	// NewDelta builds one private delta sketch per worker — a same-Spec
-	// sibling of the fold target, so Fold can merge it. Required when Fold
-	// is set. Deltas are Reset between flushes when they support it and
-	// rebuilt otherwise.
-	NewDelta func() sketch.Sketch
-	// Fold folds a worker's delta into the shared target under the
-	// target's own short lock (sketch.Merge under a mutex, epoch.Ring.Fold,
-	// the collector's globalMu merge). It runs at most once per flush per
-	// worker — the only moment the pipeline touches shared write state.
-	// nil disables delta accumulation: the pipeline applies batches through
-	// Apply alone.
-	Fold func(delta sketch.Sketch) error
-	// Apply, when set, runs for every dequeued batch before accumulation —
-	// the per-batch attribution hook (the netsum collector lands the batch
-	// in its Source agent's own sketch here). Batches from one Source are
-	// applied in order by one worker.
+	// Apply lands one dequeued batch in the target under the target's own
+	// lock (sketch.InsertBatch under a mutex, epoch.Ring.InsertBatchAt, the
+	// collector's per-agent and global inserts). Batches from one Source
+	// are applied in order by one worker. Required.
 	Apply func(Batch) error
-	// Logf receives worker-side errors (failed folds or applies — with
-	// same-Spec deltas these indicate bugs, not operational conditions);
-	// nil silences them. Errors are also retained for Err and Stats.
+	// Logf receives worker-side errors (failed applies indicate bugs, not
+	// operational conditions); nil silences them. Errors are also retained
+	// for Err and Stats.
 	Logf func(format string, args ...any)
 }
 
@@ -185,44 +153,28 @@ type Stats struct {
 	Submitted uint64 `json:"submitted"`
 	Accepted  uint64 `json:"accepted"`
 	Dropped   uint64 `json:"dropped"`
-	// Applied counts items a worker has fully processed (attributed and
-	// accumulated); Accepted − Applied is the queued backlog.
+	// Applied counts items a worker has fully processed, landed or failed;
+	// Accepted − Applied is the queued backlog.
 	Applied uint64 `json:"applied"`
-	// Folds counts delta→target merges; FoldedItems the items they carried.
+	// Folds counts batches landed in the target; FoldedItems the items
+	// they carried.
 	Folds       uint64 `json:"folds"`
 	FoldedItems uint64 `json:"folded_items"`
 	// LastError is the most recent worker-side failure, if any.
 	LastError string `json:"last_error,omitempty"`
 }
 
-// qitem is one queue entry: a data batch, or a drain barrier (fold now,
-// then signal).
+// qitem is one queue entry: a data batch, or a drain barrier (signal once
+// every earlier batch on this queue has landed).
 type qitem struct {
 	b       Batch
 	barrier chan<- struct{}
 }
 
-// flushReason says why a worker folded its delta — each fold is attributed
-// to exactly one cause, so operators can tell a size-driven steady state
-// from age-driven trickle or epoch-seal churn.
-type flushReason uint8
-
-const (
-	flushSize    flushReason = iota // delta reached FlushItems
-	flushAge                        // FlushAge ticker fired on a non-empty delta
-	flushEpoch                      // batch epoch tag differed from the delta's
-	flushBarrier                    // Drain barrier forced visibility
-	flushClose                      // pipeline shutdown folded the remainder
-	numFlushReasons
-)
-
-// flushReasonNames are the `reason` label values, indexed by flushReason.
-var flushReasonNames = [numFlushReasons]string{"size", "age", "epoch", "barrier", "close"}
-
 // Pipeline is the async sharded writer plane. Submit routes batches to
-// workers (by Source, so per-producer order is preserved); workers
-// accumulate into private deltas and fold into the target per flush. Safe
-// for concurrent use by any number of producers.
+// workers (by Source, so per-producer order is preserved); workers land each
+// batch in the target through Apply. Safe for concurrent use by any number
+// of producers.
 type Pipeline struct {
 	opts    Options
 	workers []*worker
@@ -237,18 +189,17 @@ type Pipeline struct {
 	applied   telemetry.Counter
 	folds     telemetry.Counter
 	folded    telemetry.Counter
-	flushes   [numFlushReasons]telemetry.Counter
-	// foldSeconds records fold latency (delta→target merge under the
-	// target's lock). Observed once per flush, never per item.
+	// foldSeconds records how long one batch takes to land (Apply, lock
+	// wait included). Observed once per batch, never per item.
 	foldSeconds *telemetry.Histogram
 
 	errMu   sync.Mutex
 	lastErr error
 	// failed mirrors lastErr != nil for lock-free Submit checks: once a
-	// worker loses items (failed fold or apply), the pipeline stops
-	// ACCEPTING — acking writes into a plane whose certified state can no
-	// longer cover them would be a lie. Reads keep erroring, new writes
-	// drop visibly, and the operator restarts.
+	// worker loses items (a failed apply), the pipeline stops ACCEPTING —
+	// acking writes into a plane whose certified state can no longer cover
+	// them would be a lie. Reads keep erroring, new writes drop visibly,
+	// and the operator restarts.
 	failed atomic.Bool
 
 	// lifeMu makes Submit/Drain vs Close safe: Close excludes in-flight
@@ -260,25 +211,19 @@ type Pipeline struct {
 	wg     sync.WaitGroup
 }
 
-// worker is one writer goroutine's state, touched only by that goroutine.
+// worker is one writer goroutine and its queue.
 type worker struct {
-	p       *Pipeline
-	q       chan qitem
-	delta   sketch.Sketch
-	pending int
-	epoch   uint64
+	p *Pipeline
+	q chan qitem
 }
 
-// New starts a pipeline. It panics when neither Apply nor Fold is
-// configured (a pipeline with nowhere to write is a programming error, like
-// registering a nil sketch builder) or when Fold is set without NewDelta.
+// New starts a pipeline. It panics when Apply is nil: a pipeline with
+// nowhere to write is a programming error, like registering a nil sketch
+// builder.
 func New(opts Options) *Pipeline {
 	opts.Tuning = opts.Tuning.withDefaults()
-	if opts.Apply == nil && opts.Fold == nil {
-		panic("ingest: Pipeline needs an Apply or Fold target")
-	}
-	if opts.Fold != nil && opts.NewDelta == nil {
-		panic("ingest: Fold needs NewDelta to build worker deltas")
+	if opts.Apply == nil {
+		panic("ingest: Pipeline needs an Apply target")
 	}
 	p := &Pipeline{
 		opts:        opts,
@@ -288,11 +233,6 @@ func New(opts Options) *Pipeline {
 	p.workers = make([]*worker, opts.Workers)
 	for i := range p.workers {
 		w := &worker{p: p, q: make(chan qitem, opts.Queue)}
-		if opts.Fold != nil {
-			if w.delta = opts.NewDelta(); w.delta == nil {
-				panic("ingest: NewDelta returned nil")
-			}
-		}
 		p.workers[i] = w
 		p.wg.Add(1)
 		go w.run()
@@ -353,14 +293,13 @@ func (p *Pipeline) Submit(b Batch) Ack {
 }
 
 // Drain is the read-your-writes barrier: it returns once every batch
-// accepted before the call has been applied and folded into the target.
-// Query paths call it before reading state the pipeline feeds, so certified
-// answers cover everything the caller has already been acked for. An idle
-// pipeline (everything accepted already applied and folded) returns
-// immediately — query-heavy workloads with trickling ingest don't pay an
-// O(workers) barrier round-trip per query, and partial deltas are not
-// force-folded. Safe to call concurrently; on a closed pipeline it returns
-// the recorded error.
+// accepted before the call has landed in the target. Query paths call it
+// before reading state the pipeline feeds, so certified answers cover
+// everything the caller has already been acked for. An idle pipeline
+// (everything accepted already applied) returns immediately, so
+// query-heavy workloads with trickling ingest don't pay an O(workers)
+// barrier round-trip per query. Safe to call concurrently; on a closed
+// pipeline it returns the recorded error.
 func (p *Pipeline) Drain() error {
 	if p.idle() {
 		return p.Err()
@@ -381,19 +320,13 @@ func (p *Pipeline) Drain() error {
 	return p.Err()
 }
 
-// idle reports whether everything accepted has been applied and (for fold
-// pipelines) folded. Counter order makes a true answer safe: accepted is
-// incremented before Submit returns, applied before folded, so if a batch
-// was acked to THIS caller before its Drain, a stale read can only make
-// idle return false (the slow barrier path), never skip pending work. A
-// failed fold never counts into folded, so an erroring pipeline always
-// takes the barrier path and reports its error.
+// idle reports whether everything accepted has been applied. Counter order
+// makes a true answer safe: accepted is incremented before Submit returns
+// and applied only after a batch's Apply returned, so if a batch was acked
+// to THIS caller before its Drain, a stale read can only make idle return
+// false (the slow barrier path), never skip pending work.
 func (p *Pipeline) idle() bool {
-	accepted := p.accepted.Value()
-	if p.applied.Value() != accepted {
-		return false
-	}
-	return p.opts.Fold == nil || p.folded.Value() == accepted
+	return p.applied.Value() == p.accepted.Value()
 }
 
 // Close drains and stops the workers. Further Submits drop; further Drains
@@ -450,13 +383,9 @@ func (p *Pipeline) RegisterMetrics(reg *telemetry.Registry) {
 	reg.RegisterCounter("ingest_accepted_items_total", "Items accepted onto a worker queue.", nil, &p.accepted)
 	reg.RegisterCounter("ingest_dropped_items_total", "Items refused by backpressure, pipeline failure, or shutdown.", nil, &p.dropped)
 	reg.RegisterCounter("ingest_applied_items_total", "Items fully processed by a worker.", nil, &p.applied)
-	reg.RegisterCounter("ingest_folds_total", "Delta-to-target merges.", nil, &p.folds)
-	reg.RegisterCounter("ingest_folded_items_total", "Items carried into the target by folds.", nil, &p.folded)
-	for i := range p.flushes {
-		reg.RegisterCounter("ingest_flushes_total", "Folds by triggering cause.",
-			telemetry.Labels{"reason": flushReasonNames[i]}, &p.flushes[i])
-	}
-	reg.RegisterHistogram("ingest_fold_duration_seconds", "Latency of one delta-to-target merge.", nil, p.foldSeconds)
+	reg.RegisterCounter("ingest_folds_total", "Batches landed in the target.", nil, &p.folds)
+	reg.RegisterCounter("ingest_folded_items_total", "Items carried into the target by landed batches.", nil, &p.folded)
+	reg.RegisterHistogram("ingest_fold_duration_seconds", "Latency of landing one batch in the target, lock wait included.", nil, p.foldSeconds)
 	reg.GaugeFunc("ingest_queue_depth_batches", "Batches waiting on worker queues.", nil, func() float64 {
 		depth := 0
 		for _, w := range p.workers {
@@ -464,7 +393,7 @@ func (p *Pipeline) RegisterMetrics(reg *telemetry.Registry) {
 		}
 		return float64(depth)
 	})
-	reg.GaugeFunc("ingest_workers", "Writer goroutines (one private delta each).", nil, func() float64 {
+	reg.GaugeFunc("ingest_workers", "Writer goroutines.", nil, func() float64 {
 		return float64(len(p.workers))
 	})
 }
@@ -481,82 +410,32 @@ func (p *Pipeline) fail(err error) {
 	}
 }
 
-// run is the worker loop: drain the queue, fold on size/age/epoch/barrier,
-// fold once more on shutdown so Close never strands accepted items.
+// run is the worker loop: land each batch, answer each barrier once every
+// batch queued before it has landed, and exit when Close closes the queue
+// (the queue is drained first, so Close never strands accepted items).
 func (w *worker) run() {
 	defer w.p.wg.Done()
-	tick := time.NewTicker(w.p.opts.FlushAge)
-	defer tick.Stop()
-	for {
-		select {
-		case it, ok := <-w.q:
-			if !ok {
-				w.fold(flushClose)
-				return
-			}
-			if it.barrier != nil {
-				w.fold(flushBarrier)
-				it.barrier <- struct{}{}
-			} else {
-				w.apply(it.b)
-			}
-		case <-tick.C:
-			w.fold(flushAge)
+	for it := range w.q {
+		if it.barrier != nil {
+			it.barrier <- struct{}{}
+			continue
 		}
+		w.apply(it.b)
 	}
 }
 
-// apply lands one batch: attribution hook first, then delta accumulation,
-// folding beforehand if the batch's epoch tag seals the delta's, and
-// afterwards if the delta reached the size threshold.
+// apply lands one batch through the target's Apply hook. The latency
+// observation brackets the Apply call and runs once per batch.
 func (w *worker) apply(b Batch) {
-	if w.p.opts.Apply != nil {
-		if err := w.p.opts.Apply(b); err != nil {
-			w.p.fail(err)
-			w.p.applied.Add(uint64(len(b.Items)))
-			return
-		}
-	}
-	if w.delta == nil {
-		w.p.applied.Add(uint64(len(b.Items)))
-		return
-	}
-	if w.pending > 0 && b.Epoch != w.epoch {
-		w.fold(flushEpoch)
-	}
-	w.epoch = b.Epoch
-	sketch.InsertBatch(w.delta, b.Items)
-	w.pending += len(b.Items)
-	w.p.applied.Add(uint64(len(b.Items)))
-	if w.pending >= w.p.opts.FlushItems {
-		w.fold(flushSize)
-	}
-}
-
-// fold merges the pending delta into the target — the one moment this
-// worker touches shared write state — and readies a fresh delta. The
-// latency observation brackets only the target merge, and runs once per
-// flush, never per item.
-func (w *worker) fold(reason flushReason) {
-	if w.delta == nil || w.pending == 0 {
-		return
-	}
+	n := uint64(len(b.Items))
 	start := time.Now()
-	err := w.p.opts.Fold(w.delta)
+	err := w.p.opts.Apply(b)
 	w.p.foldSeconds.ObserveDuration(time.Since(start))
 	if err != nil {
 		w.p.fail(err)
 	} else {
 		w.p.folds.Inc()
-		w.p.flushes[reason].Inc()
-		w.p.folded.Add(uint64(w.pending))
+		w.p.folded.Add(n)
 	}
-	w.pending = 0
-	if r, ok := w.delta.(sketch.Resettable); ok {
-		r.Reset()
-	} else if w.delta = w.p.opts.NewDelta(); w.delta == nil {
-		// Losing the delta would silently demote this worker to apply-only;
-		// record it as a pipeline failure instead (Submit stops accepting).
-		w.p.fail(errors.New("ingest: NewDelta returned nil; delta accumulation lost"))
-	}
+	w.p.applied.Add(n)
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/ingest"
 	"repro/internal/sketch"
@@ -45,15 +44,15 @@ func TestParsePolicy(t *testing.T) {
 
 // TestPipelineEquivalenceLinear pins the strongest claim the plane can
 // make: for a linear sketch (CM) the pipeline-ingested state is BIT-EXACT
-// against sequential InsertBatch, regardless of how batches were routed,
-// partitioned across workers, or folded — counter sums commute.
+// against sequential InsertBatch, regardless of how batches were routed or
+// partitioned across workers — counter sums commute.
 func TestPipelineEquivalenceLinear(t *testing.T) {
 	s := testStream(t, 60_000)
 	spec := sketch.Spec{MemoryBytes: 1 << 18, Seed: 3}
 	seq := sketch.MustBuild("CM_fast", spec)
 	sketch.InsertBatch(seq, s.Items)
 
-	a, err := ingest.NewAsyncIngester("CM_fast", spec, ingest.Tuning{Workers: 4, FlushItems: 1 << 12})
+	a, err := ingest.NewAsyncIngester("CM_fast", spec, ingest.Tuning{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,7 @@ func TestPipelineEquivalenceCertified(t *testing.T) {
 			seq := sketch.MustBuild("Ours", spec).(sketch.ErrorBounded)
 			sketch.InsertBatch(seq, s.Items)
 
-			a, err := ingest.NewAsyncIngester("Ours", spec, ingest.Tuning{Workers: 4, FlushItems: 1 << 12})
+			a, err := ingest.NewAsyncIngester("Ours", spec, ingest.Tuning{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,56 +192,20 @@ func TestPipelineBlockPolicyAcceptsEverything(t *testing.T) {
 	}
 }
 
-// TestPipelineEpochTagFlush checks the epoch-seal flush trigger: a worker
-// folds its pending delta before accumulating a batch with a different
-// epoch tag, so no delta ever straddles a producer-declared boundary.
-func TestPipelineEpochTagFlush(t *testing.T) {
-	spec := sketch.Spec{MemoryBytes: 1 << 16, Seed: 1}
-	var mu sync.Mutex
-	var foldSums []uint64
-	p := ingest.New(ingest.Options{
-		// One worker and huge thresholds: only epoch tags (and the final
-		// drain) may trigger folds.
-		Tuning:   ingest.Tuning{Workers: 1, FlushItems: 1 << 30, FlushAge: time.Hour},
-		NewDelta: func() sketch.Sketch { return sketch.MustBuild("CM_fast", spec) },
-		Fold: func(d sketch.Sketch) error {
-			mu.Lock()
-			foldSums = append(foldSums, d.Query(1))
-			mu.Unlock()
-			return nil
-		},
-	})
-	defer p.Close()
-	p.Submit(ingest.Batch{Items: []stream.Item{{Key: 1, Value: 10}}, Epoch: 1})
-	p.Submit(ingest.Batch{Items: []stream.Item{{Key: 1, Value: 5}}, Epoch: 1})
-	p.Submit(ingest.Batch{Items: []stream.Item{{Key: 1, Value: 100}}, Epoch: 2})
-	if err := p.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	want := []uint64{15, 100}
-	if len(foldSums) != len(want) || foldSums[0] != want[0] || foldSums[1] != want[1] {
-		t.Fatalf("fold sums %v, want %v (one fold per epoch tag)", foldSums, want)
-	}
-}
-
-// TestPipelineFoldErrorSurfaces checks that a failing fold is retained and
-// reported by Drain, Err, and Stats rather than swallowed.
+// TestPipelineFoldErrorSurfaces checks that a batch failing to land is
+// retained and reported by Drain, Err, and Stats rather than swallowed.
 func TestPipelineFoldErrorSurfaces(t *testing.T) {
 	boom := errors.New("boom")
-	spec := sketch.Spec{MemoryBytes: 1 << 16, Seed: 1}
 	p := ingest.New(ingest.Options{
-		Tuning:   ingest.Tuning{Workers: 1},
-		NewDelta: func() sketch.Sketch { return sketch.MustBuild("CM_fast", spec) },
-		Fold:     func(d sketch.Sketch) error { return boom },
+		Tuning: ingest.Tuning{Workers: 1},
+		Apply:  func(ingest.Batch) error { return boom },
 	})
 	p.Submit(ingest.Batch{Items: []stream.Item{{Key: 1, Value: 1}}})
 	if err := p.Drain(); !errors.Is(err, boom) {
 		t.Fatalf("Drain error = %v, want boom", err)
 	}
 	if st := p.Stats(); st.LastError == "" {
-		t.Fatal("Stats().LastError empty after failed fold")
+		t.Fatal("Stats().LastError empty after failed apply")
 	}
 	// A failed pipeline has lost items its certified state cannot cover:
 	// it must stop ACCEPTING, not keep acking writes it may discard.
@@ -270,29 +233,38 @@ func TestPipelineClosedSubmitDrops(t *testing.T) {
 	}
 }
 
-// TestAsyncIngesterRejectsNonMergeable: the wrapper's soundness rests on
-// Merge, so non-Mergeable variants are refused at construction.
-func TestAsyncIngesterRejectsNonMergeable(t *testing.T) {
-	for _, algo := range []string{"Elastic", "nope"} {
-		if _, err := ingest.NewAsyncIngester(algo, sketch.Spec{MemoryBytes: 1 << 16}, ingest.Tuning{}); err == nil {
-			t.Errorf("NewAsyncIngester(%q) accepted", algo)
-		}
+// TestAsyncIngesterAlgoCheck: workers land batches by insertion, so any
+// registry variant works — non-Mergeable ones included — and only an
+// unknown name is refused at construction.
+func TestAsyncIngesterAlgoCheck(t *testing.T) {
+	if _, err := ingest.NewAsyncIngester("nope", sketch.Spec{MemoryBytes: 1 << 16}, ingest.Tuning{}); err == nil {
+		t.Error("NewAsyncIngester(nope) accepted")
+	}
+	a, err := ingest.NewAsyncIngester("Elastic", sketch.Spec{MemoryBytes: 1 << 16, Seed: 1}, ingest.Tuning{})
+	if err != nil {
+		t.Fatalf("non-Mergeable Elastic refused: %v", err)
+	}
+	defer a.Close()
+	a.Submit(ingest.Batch{Items: []stream.Item{{Key: 3, Value: 7}}})
+	if err := a.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Query(3); got < 7 {
+		t.Fatalf("Elastic through the pipeline answers %d, want >= 7", got)
 	}
 }
 
 // TestPipelineRegisterMetrics checks the pipeline's Prometheus surface:
-// the registered counters are the same instruments Stats reads, flushes
-// are attributed to reasons, and fold latency is recorded once per fold.
+// the registered counters are the same instruments Stats reads, every
+// landed batch counts as one fold, and landing latency is recorded once
+// per fold.
 func TestPipelineRegisterMetrics(t *testing.T) {
-	var mu sync.Mutex
 	target := sketch.MustBuild("CM_fast", sketch.Spec{MemoryBytes: 1 << 16, Seed: 1})
 	p := ingest.New(ingest.Options{
-		Tuning:   ingest.Tuning{Workers: 1, FlushItems: 100, FlushAge: time.Hour},
-		NewDelta: func() sketch.Sketch { return sketch.MustBuild("CM_fast", sketch.Spec{MemoryBytes: 1 << 16, Seed: 1}) },
-		Fold: func(d sketch.Sketch) error {
-			mu.Lock()
-			defer mu.Unlock()
-			return target.(sketch.Mergeable).Merge(d)
+		Tuning: ingest.Tuning{Workers: 1},
+		Apply: func(b ingest.Batch) error {
+			sketch.InsertBatch(target, b.Items)
+			return nil
 		},
 	})
 	reg := telemetry.NewRegistry()
@@ -319,9 +291,7 @@ func TestPipelineRegisterMetrics(t *testing.T) {
 		fmt.Sprintf("ingest_submitted_items_total %d", st.Submitted),
 		fmt.Sprintf("ingest_accepted_items_total %d", st.Accepted),
 		fmt.Sprintf("ingest_folded_items_total %d", st.FoldedItems),
-		fmt.Sprintf("ingest_folds_total %d", st.Folds),
-		`ingest_flushes_total{reason="size"}`,
-		`ingest_flushes_total{reason="barrier"}`,
+		"ingest_folds_total 4",
 		fmt.Sprintf("ingest_fold_duration_seconds_count %d", st.Folds),
 		"ingest_workers 1",
 		"ingest_queue_depth_batches 0",
@@ -330,18 +300,7 @@ func TestPipelineRegisterMetrics(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	// Every fold is attributed to exactly one reason.
-	var attributed uint64
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "ingest_flushes_total{") {
-			var v uint64
-			if _, err := fmt.Sscanf(line[strings.LastIndexByte(line, ' ')+1:], "%d", &v); err != nil {
-				t.Fatalf("parsing %q: %v", line, err)
-			}
-			attributed += v
-		}
-	}
-	if attributed != st.Folds {
-		t.Errorf("flush reasons sum to %d, want %d folds", attributed, st.Folds)
+	if strings.Contains(out, "ingest_flushes_total") {
+		t.Error("exposition still carries ingest_flushes_total")
 	}
 }

@@ -1,26 +1,20 @@
 package ingest
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/epoch"
-	"repro/internal/sketch"
 )
 
-// ForRing builds a pipeline whose fold target is an epoch ring's active
-// window and wires the two together: worker deltas (built by newDelta, a
-// same-Spec sibling of the ring's factory product) fold through r.Fold, and
-// the pipeline's Drain is attached as the ring's pre-seal flusher — so when
-// a read path seals an overdue epoch, every batch submitted during that
-// epoch has already folded into it and the sealed window is exact.
+// ForRing builds a pipeline whose target is an epoch ring's active window
+// and wires the two together: workers land batches through
+// r.InsertBatchAt(0, …), which inserts into the active window without
+// rotating, and the pipeline's Drain is attached as the ring's pre-seal
+// flusher — so when a read path seals an overdue epoch, every batch
+// submitted during that epoch has already landed in it and the sealed
+// window is exact.
 //
-// Producers tagging Batch.Epoch get a second exactness lever: a worker
-// folds its delta the moment a batch's tag differs from the delta's, so
-// deltas never straddle a producer-declared epoch seal even between drains.
-//
-// Because a pipelined ring's folds never rotate (rotation must follow a
+// Because a pipelined ring's lands never rotate (rotation must follow a
 // drain), ForRing also starts a janitor goroutine that pokes the ring's
 // read path on a wall-clock schedule: epochs seal on time even when nobody
 // queries, instead of a read-free stretch collapsing several epochs' worth
@@ -29,24 +23,17 @@ import (
 //
 // The returned pipeline should be the ring's only writer; Close it before
 // discarding the ring.
-func ForRing(r *epoch.Ring, newDelta func() sketch.Sketch, t Tuning) (*Pipeline, error) {
-	// One throwaway probe build at startup buys a named error here instead
-	// of a worker panic or a fold failure after traffic was acked.
-	probe := newDelta()
-	if probe == nil {
-		return nil, errors.New("ingest: ring pipeline NewDelta returned nil")
-	}
-	if _, ok := probe.(sketch.Mergeable); !ok {
-		return nil, fmt.Errorf("ingest: ring pipeline needs a Mergeable variant, %s is not", probe.Name())
-	}
+func ForRing(r *epoch.Ring, t Tuning) *Pipeline {
 	p := New(Options{
-		Tuning:   t,
-		NewDelta: newDelta,
-		Fold:     r.Fold,
+		Tuning: t,
+		Apply: func(b Batch) error {
+			r.InsertBatchAt(0, b.Items)
+			return nil
+		},
 	})
 	r.AttachFlusher(func() { _ = p.Drain() })
 	go ringJanitor(r, p)
-	return p, nil
+	return p
 }
 
 // ringJanitor drives rotation for rings nobody reads: Rotations() is the

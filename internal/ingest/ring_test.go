@@ -22,7 +22,7 @@ func (c *fakeClock) clock() time.Time        { return time.Unix(0, c.nanos.Load(
 func (c *fakeClock) advance(d time.Duration) { c.nanos.Add(int64(d)) }
 
 // TestForRingSealedWindowsExact pins the epoch-exactness contract: every
-// batch submitted during an epoch folds into that epoch's window before the
+// batch submitted during an epoch lands in that epoch's window before the
 // read path seals it, so sealed sliding-window answers equal sequential
 // per-epoch ingestion exactly (CM: linear, bit-exact).
 func TestForRingSealedWindowsExact(t *testing.T) {
@@ -31,10 +31,7 @@ func TestForRingSealedWindowsExact(t *testing.T) {
 	clk := &fakeClock{}
 	interval := 10 * time.Second
 	ring := epoch.NewRing(entry.Factory(spec), spec.MemoryBytes, interval, 4, clk.clock)
-	p, err := ingest.ForRing(ring, func() sketch.Sketch { return entry.Build(spec) }, ingest.Tuning{Workers: 3, FlushItems: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := ingest.ForRing(ring, ingest.Tuning{Workers: 3})
 	defer p.Close()
 
 	// Reference: a plain ring fed synchronously with the same per-epoch
@@ -89,10 +86,7 @@ func TestForRingCertifiedUnderConcurrency(t *testing.T) {
 	clk := &fakeClock{}
 	interval := time.Hour // epochs advance only when we say so
 	ring := epoch.NewRing(entry.Factory(spec), spec.MemoryBytes, interval, 8, clk.clock)
-	p, err := ingest.ForRing(ring, func() sketch.Sketch { return entry.Build(spec) }, ingest.Tuning{Workers: 4, FlushItems: 1 << 11})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := ingest.ForRing(ring, ingest.Tuning{Workers: 4})
 	defer p.Close()
 
 	s := testStream(t, 40_000)
@@ -105,7 +99,7 @@ func TestForRingCertifiedUnderConcurrency(t *testing.T) {
 		}
 	}()
 	// Readers race the writers: answers must stay well-formed even while
-	// folds land (their content covers whatever had folded by then).
+	// batches land (their content covers whatever had landed by then).
 	for i := 0; i < 50; i++ {
 		ans, err := ring.Execute(query.Request{Kind: query.Window, Keys: []uint64{s.Items[i].Key}, Window: 4})
 		if err != nil {

@@ -49,12 +49,12 @@ type CollectorConfig struct {
 	WindowEpochs int
 	// Clock overrides time for epoch rotation (tests); nil means wall time.
 	Clock epoch.Clock
-	// DisableMergedView turns off the incrementally merged global sketch in
+	// DisableMergedView turns off the all-agents global sketch in
 	// cumulative mode, forcing the estimate-sum query path even for
 	// Mergeable variants (benchmark/ablation control).
 	DisableMergedView bool
 	// Ingest tunes the collector's shared write pipeline (workers, queue
-	// depth, backpressure policy, flush thresholds). Zero fields take the
+	// depth, backpressure policy). Zero fields take the
 	// ingest package defaults.
 	Ingest ingest.Tuning
 	// WAL, when non-nil, makes ingest durable: every decoded wire batch is
@@ -106,20 +106,19 @@ type Collector struct {
 	// estimate-sum composition exactly like another agent's.
 	baseline sketch.ErrorBounded
 
-	// global is the incrementally merged all-agents sketch (cumulative mode
-	// with a Mergeable variant). Pipeline workers fold their private deltas
-	// into it under globalMu, which is held only for those per-flush merges
-	// and for merged-view queries — never per frame, never for per-agent
-	// ingest.
+	// global is the all-agents sketch (cumulative mode with a Mergeable
+	// variant). Pipeline workers insert every batch into it under globalMu,
+	// so it stays insertion-built; a restored baseline is the only thing
+	// ever merged into it. globalMu is never held for per-agent ingest.
 	globalMu sync.Mutex
 	global   sketch.ErrorBounded
 
 	// pipe is the collector-wide ingest plane: decoded wire batches are
 	// submitted (Source = agent ID) instead of applied under locks in the
 	// connection handler. Workers land each batch in its agent's own state
-	// (attribution, in per-agent submission order) and accumulate the
-	// merged view's deltas. Query paths Drain it first, so answers cover
-	// everything producers were acked for.
+	// (attribution, in per-agent submission order) and in the global view.
+	// Query paths Drain it first, so answers cover everything producers
+	// were acked for.
 	pipe *ingest.Pipeline
 
 	// walMu orders WAL appends against snapshot cuts: connection handlers
@@ -178,17 +177,6 @@ func NewCollector(addr string, cfg CollectorConfig) (*Collector, error) {
 			return nil, err
 		}
 		c.global = built
-		// Worker deltas are same-Spec siblings of the global view; the view
-		// itself proves the build is Mergeable, so NewDelta cannot fail.
-		if _, ok := built.(sketch.Mergeable); !ok {
-			ln.Close()
-			return nil, fmt.Errorf("netsum: %q registered Mergeable but built %T without Merge", cfg.Algo, built)
-		}
-		// buildErrorBounded was just proven to succeed (c.global); a nil
-		// delta would otherwise silently freeze the merged view, so the
-		// pipeline treats it as a failure.
-		opts.NewDelta = func() sketch.Sketch { b, _ := c.buildErrorBounded(); return b }
-		opts.Fold = c.foldGlobal
 	}
 	c.pipe = ingest.New(opts)
 	if cfg.WAL != nil {
@@ -252,46 +240,40 @@ func (c *Collector) replayWAL(l *wal.Log, startLSN uint64) error {
 	return nil
 }
 
-// applyBatch is the pipeline's attribution hook: land the batch in its
-// source agent's own state under that agent's own lock. The wire handler
-// submits with Source = agentID+1, so even agent 0 gets a sticky non-zero
-// source: batches from one agent are applied by one worker in submission
-// order, and per-agent attribution and ordering are exactly what the
-// synchronous path produced.
+// applyBatch is the pipeline's landing hook: insert the batch into its
+// source agent's own state under that agent's own lock, then into the
+// global view under globalMu. The wire handler submits with Source =
+// agentID+1, so even agent 0 gets a sticky non-zero source: batches from
+// one agent are applied by one worker in submission order, and per-agent
+// attribution and ordering are exactly what the synchronous path produced.
+// An epoch-mode batch carries the agent ring's epoch at acceptance, so it
+// lands in that window even when applied after the boundary.
 func (c *Collector) applyBatch(b ingest.Batch) error {
 	st, err := c.stateFor(b.Source - 1)
 	if err != nil {
 		return err
 	}
 	if st.ring != nil {
-		st.ring.InsertBatch(b.Items)
-	} else {
-		st.mu.Lock()
-		sketch.InsertBatch(st.sk, b.Items)
-		st.mu.Unlock()
+		st.ring.InsertBatchAt(b.Epoch, b.Items)
+		return nil
 	}
-	return nil
-}
-
-// foldGlobal merges one worker's delta into the merged global view — the
-// only write to shared collector state, one short globalMu hold per flush
-// instead of one per wire frame.
-func (c *Collector) foldGlobal(delta sketch.Sketch) error {
-	c.globalMu.Lock()
-	err := sketch.Merge(c.global, delta)
-	c.globalMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("netsum: merging delta into global view: %w", err)
+	st.mu.Lock()
+	sketch.InsertBatch(st.sk, b.Items)
+	st.mu.Unlock()
+	if c.global != nil {
+		c.globalMu.Lock()
+		sketch.InsertBatch(c.global, b.Items)
+		c.globalMu.Unlock()
 	}
 	return nil
 }
 
 // drainIngest is the read-your-writes barrier query and snapshot paths take
 // before touching agent or global state: everything producers were acked
-// for is applied and folded when it returns. A pipeline error means acked
-// items were lost (a failed fold discards its delta) — callers with an
-// error channel must refuse to answer rather than serve a certified
-// interval that provably misses traffic.
+// for has landed when it returns. A pipeline error means acked items were
+// lost (a failed apply discards its batch) — callers with an error channel
+// must refuse to answer rather than serve a certified interval that
+// provably misses traffic.
 func (c *Collector) drainIngest() error {
 	if err := c.pipe.Drain(); err != nil {
 		c.logf("netsum: ingest pipeline: %v", err)
@@ -333,13 +315,13 @@ func errorBoundedNames() string {
 // Addr returns the listener's address, for clients to dial.
 func (c *Collector) Addr() string { return c.ln.Addr().String() }
 
-// MergeBased reports whether global queries are served from the
-// incrementally merged view (intersected with the estimate-sum interval)
-// rather than estimate-summing alone.
+// MergeBased reports whether global queries are served from the global
+// view (intersected with the estimate-sum interval) rather than
+// estimate-summing alone.
 func (c *Collector) MergeBased() bool { return c.global != nil }
 
 // Close stops accepting, waits for connection handlers to drain, then
-// closes the ingest pipeline (folding everything accepted). Idempotent:
+// closes the ingest pipeline (landing everything accepted). Idempotent:
 // later calls return the first call's result.
 func (c *Collector) Close() error {
 	c.closeOnce.Do(func() {
@@ -479,6 +461,9 @@ func (c *Collector) handle(conn net.Conn) error {
 			// resend path handles it — rather than silently accepting a
 			// write that would vanish on restart.
 			batch := ingest.Batch{Items: ups, Source: agentID + 1}
+			if agentSt.ring != nil {
+				batch.Epoch = agentSt.ring.Epoch()
+			}
 			if c.cfg.WAL != nil {
 				c.walMu.RLock()
 				_, werr := c.cfg.WAL.Append(batch)
@@ -601,7 +586,7 @@ func (c *Collector) CanSnapshotGlobal() error {
 // ingested history, including any restored baseline — so a restarted
 // collector can warm-start from it via RestoreBaseline. The view is
 // serialized into memory under globalMu and written to w after releasing
-// it, so global queries and per-batch merge folds stall for the
+// it, so global queries and per-batch global inserts stall for the
 // serialization only, never for the destination's I/O. With a WAL, the
 // (drain, serialize, capture LastLSN) cut runs under the exclusive side of
 // walMu so no (append, submit) pair straddles it: records at or below the
@@ -775,7 +760,7 @@ func intersectIntervals(aEst, aMpe, bEst, bMpe uint64) (est, mpe uint64) {
 // updates accepted and queries served. Updates are counted at wire
 // acceptance (submission order per connection makes the count exact for
 // every frame already handled), so a stats poll never forces the pipeline
-// to fold partial deltas — observability stays off the write path.
+// to drain — observability stays off the write path.
 func (c *Collector) Stats() (agents int, updates, queries uint64) {
 	c.mu.Lock()
 	agents = len(c.agents)
@@ -840,10 +825,16 @@ func (c *Collector) Epochal() bool { return c.cfg.Epoch > 0 }
 // window seals, so epoch-mode answers are immutable for a fixed generation
 // — the invalidation signal result caches key on. Always 0 in cumulative
 // mode, where answers change with every ingested batch.
+//
+// Reading a ring's generation seals its overdue epoch, so the pipeline is
+// drained first: a batch accepted before the boundary must land in its
+// window before the read seals it. A pipeline error is logged by
+// drainIngest and keeps surfacing on every Execute path.
 func (c *Collector) Generation() uint64 {
 	if c.cfg.Epoch <= 0 {
 		return 0
 	}
+	_ = c.drainIngest()
 	var gen uint64
 	for _, st := range c.snapshotAgents() {
 		gen += st.ring.Rotations()

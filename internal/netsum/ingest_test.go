@@ -12,15 +12,13 @@ import (
 
 // TestCollectorPipelineStats drives the collector's shared ingest plane
 // over the wire and checks its accounting: every pushed update is accepted
-// and applied, the merged view is built by per-flush folds (not per-frame
-// merges), and queries drain the pipeline so acked traffic is always
-// visible with certified bounds.
+// and applied, every wire frame lands as one fold into the global view,
+// and queries drain the pipeline so acked traffic is always visible with
+// certified bounds.
 func TestCollectorPipelineStats(t *testing.T) {
 	c, err := NewCollector("127.0.0.1:0", CollectorConfig{
-		Spec: sketch.Spec{MemoryBytes: 1 << 18, Lambda: 25, Seed: 1},
-		// Tiny flush threshold: several wire frames per fold would hide a
-		// per-frame merge; several folds per run proves flushing works.
-		Ingest: ingest.Tuning{Workers: 2, FlushItems: 256},
+		Spec:   sketch.Spec{MemoryBytes: 1 << 18, Lambda: 25, Seed: 1},
+		Ingest: ingest.Tuning{Workers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,14 +68,14 @@ func TestCollectorPipelineStats(t *testing.T) {
 	if ist.Accepted != agents*perAgent || ist.Applied != agents*perAgent || ist.Dropped != 0 {
 		t.Fatalf("ingest stats %+v: want %d accepted+applied, 0 dropped", ist, agents*perAgent)
 	}
-	if ist.Folds < 2 {
-		t.Fatalf("ingest stats %+v: expected several per-flush folds", ist)
+	if ist.Folds < agents*perAgent/128 {
+		t.Fatalf("ingest stats %+v: expected one fold per wire frame", ist)
 	}
 	if ist.LastError != "" {
 		t.Fatalf("pipeline recorded error: %s", ist.LastError)
 	}
 	if ist.FoldedItems != ist.Applied {
-		t.Fatalf("folded %d items of %d applied: merged view is missing traffic", ist.FoldedItems, ist.Applied)
+		t.Fatalf("folded %d items of %d applied: global view is missing traffic", ist.FoldedItems, ist.Applied)
 	}
 }
 
@@ -132,7 +130,7 @@ func TestAgentZeroAttributed(t *testing.T) {
 func TestCollectorRegisterMetrics(t *testing.T) {
 	c, err := NewCollector("127.0.0.1:0", CollectorConfig{
 		Spec:   sketch.Spec{MemoryBytes: 1 << 18, Lambda: 25, Seed: 1},
-		Ingest: ingest.Tuning{Workers: 2, FlushItems: 256},
+		Ingest: ingest.Tuning{Workers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -146,8 +146,8 @@ func (b CollectorBackend) Status() Status {
 // wrapped in an epoch ring when built with an epoch length. Ingest arrives
 // over HTTP (Ingest); queries and ingest may run concurrently. With
 // SketchBackendConfig.Ingest set, writes flow through an async ingest
-// pipeline (workers accumulate private deltas, one fold per flush) and
-// query paths drain it first, so acked writes are always visible.
+// pipeline (workers land each batch by insertion under the sketch's lock)
+// and query paths drain it first, so acked writes are always visible.
 type SketchBackend struct {
 	algo string
 
@@ -195,9 +195,8 @@ type SketchBackendConfig struct {
 	Windows int
 	Clock   epoch.Clock
 	// Ingest, when non-nil, routes writes through an async pipeline with
-	// this tuning. Mergeable variants get delta folding (flat and ring
-	// targets alike); non-Mergeable ones get async application under the
-	// backend's write lock — still off the producer's critical path.
+	// this tuning: workers land each batch in the sketch (or the ring's
+	// active window) by insertion, off the producer's critical path.
 	Ingest *ingest.Tuning
 }
 
@@ -227,53 +226,35 @@ func NewSketchBackendFrom(cfg SketchBackendConfig) (*SketchBackend, error) {
 	if cfg.Ingest == nil {
 		return b, nil
 	}
-	mergeable := entry.Caps.Has(sketch.CapMergeable)
-	newDelta := func() sketch.Sketch { return entry.Build(cfg.Spec) }
-	switch {
-	case b.ring != nil && mergeable:
-		// Ring target: folds land in the active window, and the ring drains
-		// the pipeline before sealing an overdue epoch, so sealed windows
-		// are exact.
-		p, err := ingest.ForRing(b.ring, newDelta, *cfg.Ingest)
-		if err != nil {
-			return nil, err
-		}
-		b.pipe = p
-	case b.ring != nil:
-		// Non-Mergeable ring: apply batches asynchronously; the ring locks
-		// internally and rotates on the insert path, as synchronous ingest
-		// would.
+	if b.ring != nil {
+		// Ring target: batches land in the active window, and the ring
+		// drains the pipeline before sealing an overdue epoch, so sealed
+		// windows are exact.
+		b.pipe = ingest.ForRing(b.ring, *cfg.Ingest)
+	} else {
 		b.pipe = ingest.New(ingest.Options{Tuning: *cfg.Ingest, Apply: func(batch ingest.Batch) error {
-			b.ring.InsertBatch(batch.Items)
-			return nil
-		}})
-	case mergeable:
-		b.pipe = ingest.New(ingest.Options{Tuning: *cfg.Ingest, NewDelta: newDelta, Fold: b.fold})
-	default:
-		b.pipe = ingest.New(ingest.Options{Tuning: *cfg.Ingest, Apply: func(batch ingest.Batch) error {
-			b.mu.Lock()
-			sketch.InsertBatch(b.sk, batch.Items)
-			b.mu.Unlock()
+			b.insertFlat(batch)
 			return nil
 		}})
 	}
 	return b, nil
 }
 
-// fold merges one worker's delta into the cumulative sketch — one short
-// write-lock hold per flush. Self-synchronizing (sharded) sketches lock
-// shard pairs inside Merge; flat ones take the backend's write lock.
-func (b *SketchBackend) fold(delta sketch.Sketch) error {
+// insertFlat lands a batch in the cumulative sketch. Self-synchronizing
+// (sharded) sketches lock per shard internally; flat ones take the
+// backend's write lock.
+func (b *SketchBackend) insertFlat(batch ingest.Batch) {
 	if b.selfSynced {
-		return sketch.Merge(b.sk, delta)
+		sketch.InsertBatch(b.sk, batch.Items)
+		return
 	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	return sketch.Merge(b.sk, delta)
+	sketch.InsertBatch(b.sk, batch.Items)
+	b.mu.Unlock()
 }
 
 // ErrLostWrites marks the unrecoverable backend state where acked items
-// were lost (a failed fold discards its delta). HTTP surfaces map it to a
+// were lost (a failed apply discards its batch). HTTP surfaces map it to a
 // hard 500 — retrying, here or on another replica, cannot restore the lost
 // writes.
 var ErrLostWrites = errors.New("queryd: ingest pipeline lost acked items")
@@ -292,7 +273,7 @@ func (b *SketchBackend) drain() error {
 	return nil
 }
 
-// Close stops the ingest pipeline's workers, folding everything accepted.
+// Close stops the ingest pipeline's workers, landing everything accepted.
 // Synchronous backends close trivially.
 func (b *SketchBackend) Close() error {
 	if b.pipe == nil {
@@ -348,15 +329,10 @@ func (b *SketchBackend) submit(batch ingest.Batch) ingest.Ack {
 		ack.Generation = b.peekGeneration()
 		return ack
 	}
-	switch {
-	case b.ring != nil:
+	if b.ring != nil {
 		b.ring.InsertBatch(batch.Items)
-	case b.selfSynced:
-		sketch.InsertBatch(b.sk, batch.Items)
-	default:
-		b.mu.Lock()
-		sketch.InsertBatch(b.sk, batch.Items)
-		b.mu.Unlock()
+	} else {
+		b.insertFlat(batch)
 	}
 	b.updates.Add(uint64(len(batch.Items)))
 	return ingest.Ack{Accepted: len(batch.Items), Generation: b.peekGeneration()}

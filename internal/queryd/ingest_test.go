@@ -34,7 +34,7 @@ func pipelinedBackends(t *testing.T) map[string]struct {
 	seal func()
 } {
 	t.Helper()
-	tuning := ingest.Tuning{Workers: 4, FlushItems: 1 << 10}
+	tuning := ingest.Tuning{Workers: 4}
 	clk := &testClock{}
 	interval := time.Minute
 	out := make(map[string]struct {
@@ -65,7 +65,7 @@ func pipelinedBackends(t *testing.T) map[string]struct {
 }
 
 // TestIngestQueryInterleaving is the ingest/query race matrix: concurrent
-// pipeline flushes vs. typed query.Request execution on flat, sharded, and
+// pipeline lands vs. typed query.Request execution on flat, sharded, and
 // ring-backed sketches. Mid-flight answers must stay well-formed; after a
 // full drain the certified bounds must contain the exact counts. Run under
 // -race in CI.
@@ -150,7 +150,7 @@ func TestPipelinedBackendEquivalence(t *testing.T) {
 	}
 	sync1.Ingest(ingest.Batch{Items: s.Items})
 
-	tuning := ingest.Tuning{Workers: 4, FlushItems: 1 << 10}
+	tuning := ingest.Tuning{Workers: 4}
 	piped, err := NewSketchBackendFrom(SketchBackendConfig{Algo: "Ours", Spec: spec, Ingest: &tuning})
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestPipelinedBackendEquivalence(t *testing.T) {
 // how many items were accepted and dropped, and with a drop-policy pipeline
 // a refused batch is reported instead of silently 200-ed away.
 func TestInsertReportsApplied(t *testing.T) {
-	tuning := ingest.Tuning{Workers: 1, FlushItems: 1 << 20}
+	tuning := ingest.Tuning{Workers: 1}
 	b, err := NewSketchBackendFrom(SketchBackendConfig{
 		Algo: "Ours", Spec: sketch.Spec{MemoryBytes: 1 << 18, Lambda: 25, Seed: 1}, Ingest: &tuning,
 	})

@@ -65,7 +65,7 @@ func TestMetricsCoverageEpochalPipelined(t *testing.T) {
 	b, err := queryd.NewSketchBackendFrom(queryd.SketchBackendConfig{
 		Algo: "Ours", Spec: sketch.Spec{MemoryBytes: 256 << 10, Lambda: 25, Seed: 1},
 		Epoch: time.Second, Windows: 4, Clock: clk.Now,
-		Ingest: &ingest.Tuning{Workers: 1, FlushItems: 64},
+		Ingest: &ingest.Tuning{Workers: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,9 @@ func TestMetricsCoverageEpochalPipelined(t *testing.T) {
 		"queryd_cache_misses_total",
 		"queryd_backend_updates_total 2",
 		"ingest_accepted_items_total 2",
-		"ingest_fold_duration_seconds_count",
+		"ingest_folds_total 1",
+		"ingest_folded_items_total 2",
+		"ingest_fold_duration_seconds_count 1",
 		"ingest_queue_depth_batches 0",
 		"ring_seals_total",
 		"ring_generation",

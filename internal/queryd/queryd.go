@@ -1,6 +1,7 @@
 package queryd
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/rcache"
 	"repro/internal/sketch"
-	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/telhttp"
 )
@@ -685,36 +685,32 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// insertRequest is the POST /v1/insert and /v2/ingest body: the items plus
-// (v2) the typed batch's source attribution and epoch tag. A zero or
-// omitted item value counts as 1, the frequency-estimation default.
-type insertRequest struct {
-	Items []struct {
-		Key   uint64 `json:"key"`
-		Value uint64 `json:"value"`
-	} `json:"items"`
-	Source uint64 `json:"source"`
-	Epoch  uint64 `json:"epoch"`
-}
+// ingestBodies recycles ingest body buffers. decodeIngest keeps none over
+// 1 MiB, so one large body does not pin its buffer.
+var ingestBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// decodeIngest parses an ingest body into the typed batch. Reported errors
-// are the client's (bad_request).
+// decodeIngest reads an ingest body, up to maxIngestBody, and parses it
+// into the typed batch. Reported errors are the client's (bad_request). A
+// body over the limit is refused even when its first value ends before
+// the limit.
 func decodeIngest(w http.ResponseWriter, r *http.Request) (ingest.Batch, bool) {
-	var req insertRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20))
-	if err := dec.Decode(&req); err != nil {
+	buf := ingestBodies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= 1<<20 {
+			buf.Reset()
+			ingestBodies.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxIngestBody)); err != nil {
+		httpError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("reading items: %w", err))
+		return ingest.Batch{}, false
+	}
+	b, err := decodeIngestBody(buf.Bytes())
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("decoding items: %w", err))
 		return ingest.Batch{}, false
 	}
-	items := make([]stream.Item, len(req.Items))
-	for i, it := range req.Items {
-		v := it.Value
-		if v == 0 {
-			v = 1
-		}
-		items[i] = stream.Item{Key: it.Key, Value: v}
-	}
-	return ingest.Batch{Items: items, Source: req.Source, Epoch: req.Epoch}, true
+	return b, true
 }
 
 // ingester resolves the backend's write surface, answering the JSON 501

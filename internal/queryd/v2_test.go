@@ -195,16 +195,32 @@ func errorEnvelope(t *testing.T, method, url string, body io.Reader) (int, query
 	return resp.StatusCode, eb
 }
 
+// overLimitIngestBody is a well-formed ingest body one byte over the 32 MiB
+// limit: the server reads all of it before refusing it.
+func overLimitIngestBody() string {
+	const limit = 32 << 20
+	var sb strings.Builder
+	sb.WriteString(`{"items":[{"key":1}`)
+	for sb.Len() < limit-16 {
+		sb.WriteString(`,{"key":1}`)
+	}
+	sb.WriteString(strings.Repeat(" ", limit+1-sb.Len()-2))
+	sb.WriteString("]}")
+	return sb.String()
+}
+
 // TestJSONErrorEnvelopeEverywhere is the satellite pin: every failure —
 // bad parameters, unknown endpoints, wrong methods, refused capabilities,
-// oversized batches — answers {"error":{code,message}} with the JSON
-// Content-Type.
+// oversized batches, refused ingest bodies — answers
+// {"error":{code,message}} with the JSON Content-Type and lands nothing.
+// The one accepted ingest body lands its item with the default value 1.
 func TestJSONErrorEnvelopeEverywhere(t *testing.T) {
 	ts, b, done := newV2Server(t, queryd.Config{MaxBatch: 8})
 	defer done()
 	b.Ingest(ingest.Batch{Items: []stream.Item{{Key: 1, Value: 1}}})
 
 	bigBatch, _ := json.Marshal(query.Request{Kind: query.Point, Keys: make([]uint64, 9)})
+	overLimit := overLimitIngestBody()
 	cases := []struct {
 		method, url string
 		body        string
@@ -224,11 +240,42 @@ func TestJSONErrorEnvelopeEverywhere(t *testing.T) {
 		{"POST", "/v2/query", "{\"kind\":\"nope\"}", http.StatusBadRequest, "bad_request"},
 		{"POST", "/v2/query", "{\"kind\":\"point\"}", http.StatusBadRequest, "bad_request"},
 		{"POST", "/v2/query", string(bigBatch), http.StatusBadRequest, "bad_request"},
+		{"POST", "/v2/ingest", overLimit, http.StatusBadRequest, "bad_request"},
+		{"POST", "/v2/ingest", "", http.StatusBadRequest, "bad_request"},
+		{"POST", "/v2/ingest", `{"items":[{"key":1}`, http.StatusBadRequest, "bad_request"},
+		{"POST", "/v2/ingest", `{"items":[{"key":"1"}]}`, http.StatusBadRequest, "bad_request"},
+		{"POST", "/v1/insert", overLimit, http.StatusBadRequest, "bad_request"},
+		{"POST", "/v1/insert", "", http.StatusBadRequest, "bad_request"},
+		{"POST", "/v1/insert", `{"items":[{"key":1}`, http.StatusBadRequest, "bad_request"},
+		{"POST", "/v1/insert", `{"items":[{"key":"1"}]}`, http.StatusBadRequest, "bad_request"},
+		{"POST", "/v2/ingest", `{"items":[{"key":777}]}`, http.StatusOK, ""},
 	}
 	for _, c := range cases {
 		var body io.Reader
 		if c.body != "" {
 			body = strings.NewReader(c.body)
+		}
+		before := b.Status().Updates
+		if c.status == http.StatusOK {
+			resp, err := http.Post(ts.URL+c.url, "application/json", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != c.status {
+				t.Errorf("%s %s: status=%d, want %d", c.method, c.url, resp.StatusCode, c.status)
+			}
+			if landed := b.Status().Updates - before; landed != 1 {
+				t.Errorf("%s %s: landed %d items, want 1", c.method, c.url, landed)
+			}
+			ans, err := b.Execute(query.Request{Kind: query.Point, Keys: []uint64{777}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e := ans.PerKey[0]; e.Lower > 1 || e.Upper < 1 || e.Est != 1 {
+				t.Errorf("%s %s: key 777 answers %+v, want the default value 1", c.method, c.url, e)
+			}
+			continue
 		}
 		status, eb := errorEnvelope(t, c.method, ts.URL+c.url, body)
 		if status != c.status || eb.Error.Code != c.code {
@@ -237,6 +284,9 @@ func TestJSONErrorEnvelopeEverywhere(t *testing.T) {
 		}
 		if eb.Error.Message == "" {
 			t.Errorf("%s %s: empty error message", c.method, c.url)
+		}
+		if landed := b.Status().Updates - before; landed != 0 {
+			t.Errorf("%s %s: refused, yet landed %d items", c.method, c.url, landed)
 		}
 	}
 }

@@ -16,9 +16,8 @@
 // into a running rsserve (or cluster router) over POST /v2/ingest instead
 // of writing a file, reporting the summed Ack so dropped writes are
 // visible. -query drives the workload's keys through POST /v2/query as
-// point batches instead — the read-side sibling, for exercising the result
-// cache under a realistic (zipf-skewed) key popularity — reporting QPS,
-// p50/p99 batch latency, and the fraction of keys served from the cache.
+// point batches instead — the read-side sibling, under a realistic
+// (zipf-skewed) key popularity — reporting QPS and p50/p99 batch latency.
 package main
 
 import (
@@ -160,9 +159,9 @@ func ingestStream(base string, s *stream.Stream, batchSize int) error {
 // queryStream partitions the stream's keys into point-query batches and
 // drives them through base/v2/query from conc concurrent clients — the
 // read-side load generator. The stream's key order IS the popularity
-// distribution (a zipf stream repeats hot keys), so the server's result
-// cache sees a realistic skewed reference pattern. Prints throughput,
-// batch latency percentiles, and the cache's share of the keys served.
+// distribution (a zipf stream repeats hot keys), so the server sees a
+// realistic skewed reference pattern. Prints throughput and batch latency
+// percentiles.
 func queryStream(base string, s *stream.Stream, batchSize, conc int) error {
 	type batchJob struct{ keys []uint64 }
 	jobs := make([]batchJob, 0, len(s.Items)/batchSize+1)
@@ -179,11 +178,10 @@ func queryStream(base string, s *stream.Stream, batchSize, conc int) error {
 	}
 
 	var (
-		mu         sync.Mutex
-		latencies  []time.Duration
-		totalKeys  int
-		cachedKeys int
-		firstErr   error
+		mu        sync.Mutex
+		latencies []time.Duration
+		totalKeys int
+		firstErr  error
 	)
 	next := make(chan batchJob)
 	var wg sync.WaitGroup
@@ -198,10 +196,7 @@ func queryStream(base string, s *stream.Stream, batchSize, conc int) error {
 					var resp *http.Response
 					resp, err = http.Post(base+"/v2/query", "application/json", bytes.NewReader(body))
 					if err == nil {
-						var ans struct {
-							CachedKeys int `json:"cached_keys"`
-						}
-						decErr := json.NewDecoder(resp.Body).Decode(&ans)
+						decErr := json.NewDecoder(resp.Body).Decode(&struct{}{})
 						resp.Body.Close()
 						switch {
 						case resp.StatusCode != http.StatusOK:
@@ -212,7 +207,6 @@ func queryStream(base string, s *stream.Stream, batchSize, conc int) error {
 							mu.Lock()
 							latencies = append(latencies, time.Since(start))
 							totalKeys += len(job.keys)
-							cachedKeys += ans.CachedKeys
 							mu.Unlock()
 						}
 					}
@@ -252,8 +246,6 @@ func queryStream(base string, s *stream.Stream, batchSize, conc int) error {
 		elapsed.Round(time.Millisecond),
 		float64(totalKeys)/elapsed.Seconds(), float64(len(latencies))/elapsed.Seconds())
 	fmt.Printf("latency:    p50 %v  p99 %v\n", pct(0.50).Round(time.Microsecond), pct(0.99).Round(time.Microsecond))
-	fmt.Printf("cache:      %d/%d keys served cached (%.2f%%)\n",
-		cachedKeys, totalKeys, 100*float64(cachedKeys)/float64(totalKeys))
 	return nil
 }
 

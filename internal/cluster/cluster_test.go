@@ -31,7 +31,7 @@ type testCluster struct {
 // startCluster boots n replicas of algo/spec on httptest servers. Listeners
 // are allocated before any server starts so the membership (which every
 // node must agree on) is known up front.
-func startCluster(t *testing.T, n int, algo string, spec sketch.Spec) *testCluster {
+func startCluster(t testing.TB, n int, algo string, spec sketch.Spec) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	for i := 0; i < n; i++ {
@@ -63,7 +63,7 @@ func startCluster(t *testing.T, n int, algo string, spec sketch.Spec) *testClust
 
 // replicate runs one pull sweep on every live replica, asserting each
 // pulled wantPeers new deltas.
-func (tc *testCluster) replicate(t *testing.T, wantPeers int) {
+func (tc *testCluster) replicate(t testing.TB, wantPeers int) {
 	t.Helper()
 	for i, rp := range tc.reps {
 		pulled, err := rp.RunOnce()
@@ -76,7 +76,7 @@ func (tc *testCluster) replicate(t *testing.T, wantPeers int) {
 	}
 }
 
-func (tc *testCluster) router(t *testing.T, algo string) *Router {
+func (tc *testCluster) router(t testing.TB, algo string) *Router {
 	t.Helper()
 	rt, err := NewRouter(RouterConfig{Membership: Membership{Peers: tc.urls}, Algo: algo, Logf: t.Logf})
 	if err != nil {

@@ -8,8 +8,8 @@
 // (sketch.BatchQuerier), epoch.Ring.Execute, netsum.Collector.Execute, the
 // netsum wire protocol's exec frames, and queryd's /v2/query HTTP endpoint
 // — so batching amortizations (one lock per shard per batch, one merged-view
-// fold, one cache probe per key) compose instead of being reinvented per
-// layer, mirroring what InsertBatch did for ingestion.
+// fold) compose instead of being reinvented per layer, mirroring what
+// InsertBatch did for ingestion.
 package query
 
 import (

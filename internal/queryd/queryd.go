@@ -21,7 +21,8 @@ import (
 
 // Config tunes the server. The zero value is usable: a 4096-entry sharded
 // LRU cache, 250ms TTL for live answers, query-plane batch limits, and no
-// checkpointing.
+// checkpointing. The result cache fronts top-k and the v1 shims only;
+// /v2/query point and window batches are never cached.
 type Config struct {
 	// CacheCapacity bounds the result cache (entries); ≤ 0 means 4096.
 	CacheCapacity int
@@ -86,9 +87,10 @@ type Config struct {
 //	POST /v1/checkpoint           checkpoint on demand
 //
 // The v1 endpoints are single-key shims over the same Execute the batch
-// endpoint uses. Every query flows through the epoch-aware cache — v1
-// responses whole, v2 batches per key, so partial hits only compute the
-// misses. Errors are a consistent JSON envelope:
+// endpoint uses. /v2/query point and window batches go straight to the
+// backend in one batch, uncached, so they always see the writes acked
+// before them; top-k and the v1 shims go through the epoch-aware result
+// cache, whole. Errors are a consistent JSON envelope:
 // {"error":{"code":"...","message":"..."}}.
 type Server struct {
 	b     Backend
@@ -381,14 +383,12 @@ type TopKResponse struct {
 
 func (r TopKResponse) withCached(c bool) any { r.Cached = c; return r }
 
-// ExecResponse is the JSON body of /v2/query: the typed Answer plus cache
-// observability. For point and window batches CachedKeys counts the keys
-// served from the per-key cache (the misses were computed in one backend
-// batch); for top-k, Cached reports a whole-answer hit.
+// ExecResponse is the JSON body of /v2/query: the typed Answer plus the
+// whole-answer cache flag. Point and window batches are always computed
+// fresh, so Cached is false for them; for top-k it reports a cache hit.
 type ExecResponse struct {
 	query.Answer
-	CachedKeys int  `json:"cached_keys"`
-	Cached     bool `json:"cached"`
+	Cached bool `json:"cached"`
 }
 
 func (r ExecResponse) withCached(c bool) any { r.Cached = c; return r }
@@ -417,31 +417,11 @@ type CheckpointStatus struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// execEntry is one key's cached v2 answer: the estimate plus the answer
-// metadata needed to rebuild a response from hits alone. covered marks
-// entries born from a cluster answer with full KeyCoverage; entries from
-// single-node backends leave it false and the response's KeyCoverage unset,
-// matching the backend's own answers.
-type execEntry struct {
-	est       query.Estimate
-	coverage  int
-	certified bool
-	source    string
-	covered   bool
-}
-
-// execCacheKey labels one key of a v2 batch in the result cache. Kind,
-// window, and agent are part of the identity: the same key means different
-// things under different scopes.
-func execCacheKey(req query.Request, key uint64) string {
-	return fmt.Sprintf("x/%d/%d/%d/%d", req.Kind, req.Agent, req.Window, key)
-}
-
 // handleExec serves POST /v2/query: one typed query.Request batch. Point
-// and window batches are cached per key under the generation-keyed cache,
-// so a request whose keys partially hit only computes the misses — and
-// computes them in a single backend batch, preserving the lock
-// amortization end to end. Top-k answers cache whole, like v1.
+// and window batches run as one backend batch with no result cache — a
+// sketch answers a key in a few memory probes, cheaper than a cache round
+// trip per key — so every answer reflects the writes acked before it.
+// Top-k answers cache whole, like v1.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	var req query.Request
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
@@ -470,119 +450,16 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-
+	// Stamp the generation read before Execute, as serveCached does for
+	// top-k and the v1 shims, so every response labels its answer alike.
 	gen := s.b.Generation()
-	epochal := s.b.Epochal()
-	resp := ExecResponse{Answer: query.Answer{
-		PerKey:     make([]query.Estimate, len(req.Keys)),
-		Generation: gen,
-		Certified:  true,
-	}}
-	cacheKeys := make([]string, len(req.Keys))
-	for i, k := range req.Keys {
-		cacheKeys[i] = execCacheKey(req, k)
-	}
-	cached, stale := s.cache.LookupMany(cacheKeys, gen)
-	if len(stale) > 0 {
-		// LookupMany handed this request the revalidation claim for these
-		// expired-but-servable entries: refresh them off the request path,
-		// in one backend batch, and let StoreMany discharge the claims.
-		sub := req
-		sub.Keys = make([]uint64, len(stale))
-		refreshKeys := make([]string, len(stale))
-		for j, i := range stale {
-			sub.Keys[j] = req.Keys[i]
-			refreshKeys[j] = cacheKeys[i]
-		}
-		go s.refreshExec(sub, refreshKeys, gen, epochal)
-	}
-	var missIdx []int
-	var missKeys []uint64
-	haveMeta := false
-	coveredHits := 0
-	for i, v := range cached {
-		if v == nil {
-			missIdx = append(missIdx, i)
-			missKeys = append(missKeys, req.Keys[i])
-			continue
-		}
-		e := v.(execEntry)
-		resp.PerKey[i] = e.est
-		resp.CachedKeys++
-		resp.Certified = resp.Certified && e.certified
-		if e.covered {
-			coveredHits++
-		}
-		if !haveMeta {
-			resp.Coverage, resp.Source, haveMeta = e.coverage, e.source, true
-		}
-	}
-	if len(missKeys) > 0 {
-		sub := req
-		sub.Keys = missKeys
-		ans, err := s.b.Execute(sub)
-		if err != nil {
-			s.execError(w, err)
-			return
-		}
-		// The fresh batch's metadata wins: under one generation it agrees
-		// with every immutable cached entry, and for live (TTL) answers it
-		// is the most recent view.
-		resp.Coverage, resp.Source = ans.Coverage, ans.Source
-		resp.Certified = resp.Certified && ans.Certified
-		if ans.KeyCoverage != 0 {
-			// Cluster answer: blend the miss batch's coverage with the hits
-			// (cached entries only exist with full coverage).
-			resp.KeyCoverage = (float64(coveredHits) + ans.KeyCoverage*float64(len(missKeys))) /
-				float64(len(req.Keys))
-		}
-		storeKeys := make([]string, len(missIdx))
-		storeVals := make([]any, len(missIdx))
-		for j, i := range missIdx {
-			e := ans.PerKey[j]
-			resp.PerKey[i] = e
-			storeKeys[j] = cacheKeys[i]
-			storeVals[j] = execEntry{
-				est:       e,
-				coverage:  ans.Coverage,
-				certified: ans.Certified,
-				source:    ans.Source,
-				covered:   ans.KeyCoverage == 1,
-			}
-		}
-		// A degraded cluster answer (a replica was down, keys went to lagged
-		// fallbacks) must not outlive the outage in the cache: serve it once,
-		// honestly marked, and recompute next time.
-		if ans.KeyCoverage == 0 || ans.KeyCoverage == 1 {
-			s.cache.StoreMany(storeKeys, gen, epochal, storeVals)
-		}
-	} else if coveredHits > 0 && coveredHits == resp.CachedKeys {
-		resp.KeyCoverage = 1
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// refreshExec is the batch half of stale-while-revalidate: recompute the
-// claimed stale keys in one backend batch and store the results under the
-// same coverage gating as the foreground path. A failed or degraded
-// (partial-coverage) refresh stores nothing — the stale entries keep
-// serving until their SWR window lapses, then miss normally.
-func (s *Server) refreshExec(sub query.Request, cacheKeys []string, gen uint64, epochal bool) {
-	ans, err := s.b.Execute(sub)
-	if err != nil || (ans.KeyCoverage != 0 && ans.KeyCoverage != 1) {
+	ans, err := s.b.Execute(req)
+	if err != nil {
+		s.execError(w, err)
 		return
 	}
-	vals := make([]any, len(cacheKeys))
-	for j := range cacheKeys {
-		vals[j] = execEntry{
-			est:       ans.PerKey[j],
-			coverage:  ans.Coverage,
-			certified: ans.Certified,
-			source:    ans.Source,
-			covered:   ans.KeyCoverage == 1,
-		}
-	}
-	s.cache.StoreMany(cacheKeys, gen, epochal, vals)
+	ans.Generation = gen
+	writeJSON(w, http.StatusOK, ExecResponse{Answer: ans})
 }
 
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {

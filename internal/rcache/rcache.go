@@ -239,9 +239,6 @@ func (c *Cache) observe(sh *shard, gen uint64) {
 	}
 }
 
-// genLabel renders the generation suffix appended to cache keys.
-func genLabel(gen uint64) string { return "@" + strconv.FormatUint(gen, 10) }
-
 // appendGenKey renders the generation-labeled cache key into dst. Hot
 // paths build the key in a stack buffer and probe maps via the
 // alloc-free map[string(bytes)] form, materializing a retained string
@@ -406,96 +403,6 @@ func (c *Cache) store(sh *shard, genKey string, h uint64, val any, err error, im
 func (sh *shard) drop(e *entry) {
 	sh.pol.remove(e)
 	delete(sh.entries, e.key)
-}
-
-// LookupMany probes every key at generation gen without computing
-// anything — the probe half of the batch path, which collapses all of a
-// request's misses into one backend call instead of singleflighting them
-// individually. Returns one value per key (nil marking a miss) plus the
-// indices of entries that were served stale under SWR with the
-// revalidation claim handed to THIS caller: the caller must refresh those
-// keys (typically alongside its misses) and StoreMany the results, or the
-// entries stay stale until their SWR window lapses.
-//
-// Keys are grouped by shard so each shard's mutex is taken at most once
-// per call — batch probing never undoes the lock amortization the batch
-// exists for. Negative entries never match here; the batch path computes
-// per-key answers, not per-key errors.
-func (c *Cache) LookupMany(keys []string, gen uint64) (vals []any, stale []int) {
-	vals = make([]any, len(keys))
-	hashes := make([]uint64, len(keys))
-	for i, key := range keys {
-		hashes[i] = hashKey(key)
-	}
-	kb := make([]byte, 0, 64) // one probe buffer for the whole batch
-	now := c.clock()
-	for si, sh := range c.shards {
-		sh.mu.Lock()
-		c.observe(sh, gen)
-		for i, key := range keys {
-			if hashes[i]&c.mask != uint64(si) {
-				continue
-			}
-			kb = appendGenKey(kb[:0], key, gen)
-			e, ok := sh.entries[string(kb)]
-			if ok && e.err == nil {
-				switch {
-				case e.expires.IsZero() || e.expires.After(now):
-					c.hits.Inc()
-					sh.pol.touch(e)
-					vals[i] = e.val
-					continue
-				case e.swrUntil.After(now):
-					c.hits.Inc()
-					c.staleServed.Inc()
-					sh.pol.touch(e)
-					vals[i] = e.val
-					if !e.revalidating {
-						e.revalidating = true
-						stale = append(stale, i)
-					}
-					continue
-				default:
-					sh.drop(e)
-				}
-			} else if ok {
-				// Negative entry on the batch path: treat as a miss and
-				// let the recompute replace it (or expiry clear it).
-				if !e.expires.After(now) {
-					sh.drop(e)
-				}
-			}
-			c.misses.Inc()
-		}
-		sh.mu.Unlock()
-	}
-	return vals, stale
-}
-
-// StoreMany caches computed answers under (keys[i], gen) — the fill half
-// of the batch path, one mutex hold per shard. immutable follows the same
-// regimes as Do; existing entries are replaced, which also discharges any
-// revalidation claims LookupMany handed out for them. Stores against a
-// generation the shard has moved past are refused.
-func (c *Cache) StoreMany(keys []string, gen uint64, immutable bool, vals []any) {
-	suffix := genLabel(gen)
-	hashes := make([]uint64, len(keys))
-	for i, key := range keys {
-		hashes[i] = hashKey(key)
-	}
-	for si, sh := range c.shards {
-		sh.mu.Lock()
-		c.observe(sh, gen)
-		if gen == sh.gen {
-			for i, key := range keys {
-				if hashes[i]&c.mask != uint64(si) {
-					continue
-				}
-				c.store(sh, key+suffix, hashes[i], vals[i], nil, immutable)
-			}
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // Stats is a point-in-time counter snapshot for /v1/status and the serve

@@ -511,66 +511,6 @@ func TestCacheNegativeCaching(t *testing.T) {
 	}
 }
 
-func TestCacheLookupManyStoreMany(t *testing.T) {
-	clk := &manualClock{now: time.Unix(0, 0)}
-	c := New(Config{Capacity: 64, TTL: time.Second, SWR: time.Minute, Clock: clk.Now})
-	keys := []string{"a", "b", "c", "d"}
-	vals, stale := c.LookupMany(keys, 1)
-	if len(stale) != 0 {
-		t.Fatalf("fresh cache returned stale claims %v", stale)
-	}
-	for i, v := range vals {
-		if v != nil {
-			t.Fatalf("fresh cache hit at %d: %v", i, v)
-		}
-	}
-	c.StoreMany(keys, 1, false, []any{1, 2, 3, 4})
-	vals, stale = c.LookupMany(keys, 1)
-	if len(stale) != 0 {
-		t.Fatalf("fresh entries claimed stale: %v", stale)
-	}
-	for i, v := range vals {
-		if v != i+1 {
-			t.Fatalf("vals[%d] = %v, want %d", i, v, i+1)
-		}
-	}
-	// Expire into the SWR window: values still served, every index claimed
-	// stale exactly once across calls.
-	clk.Advance(2 * time.Second)
-	vals, stale = c.LookupMany(keys, 1)
-	if len(stale) != len(keys) {
-		t.Fatalf("stale claims = %v, want all %d indices", stale, len(keys))
-	}
-	for i, v := range vals {
-		if v != i+1 {
-			t.Fatalf("stale vals[%d] = %v, want %d", i, v, i+1)
-		}
-	}
-	if _, stale = c.LookupMany(keys, 1); len(stale) != 0 {
-		t.Fatalf("second probe re-claimed stale indices %v", stale)
-	}
-	// StoreMany discharges the claims with fresh values.
-	c.StoreMany(keys, 1, false, []any{10, 20, 30, 40})
-	vals, stale = c.LookupMany(keys, 1)
-	if len(stale) != 0 {
-		t.Fatalf("refreshed entries claimed stale: %v", stale)
-	}
-	for i, v := range vals {
-		if v != (i+1)*10 {
-			t.Fatalf("refreshed vals[%d] = %v, want %d", i, v, (i+1)*10)
-		}
-	}
-	// A store against a superseded generation is refused.
-	c.LookupMany(keys, 2) // advances every shard that holds one of keys
-	c.StoreMany(keys, 1, false, []any{0, 0, 0, 0})
-	vals, _ = c.LookupMany(keys, 2)
-	for i, v := range vals {
-		if v != nil {
-			t.Fatalf("superseded store visible at %d: %v", i, v)
-		}
-	}
-}
-
 func TestCacheS3FIFOGhostReadmission(t *testing.T) {
 	c := New(Config{Capacity: 10, Shards: 1, Policy: PolicyS3FIFO, TTL: time.Minute})
 	get := func(key string) {

@@ -74,11 +74,8 @@ func main() {
 	}
 	var wlog *wal.Log
 	if *walDir != "" {
-		if *ep > 0 {
-			log.Fatal("rscollector: -wal-dir is cumulative-mode only (replaying a log into an epoch ring would resurrect expired traffic)")
-		}
-		if policy == ingest.Drop {
-			log.Fatal("rscollector: -wal-dir requires -ingest-policy block (drop could refuse a durable batch live, then resurrect it on replay)")
+		if err := wal.Refuse(*ep > 0, policy); err != nil {
+			log.Fatalf("rscollector: -wal-dir: %v", err)
 		}
 		fp, err := wal.ParseFsync(*walFsync)
 		if err != nil {

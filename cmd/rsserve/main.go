@@ -113,8 +113,6 @@ var (
 	errNegativeShards        = errors.New("rsserve: -shards must be ≥ 0")
 	errNegativeIngestWorkers = errors.New("rsserve: -ingest-workers must be ≥ 0 (0 = synchronous standalone ingest)")
 	errBadIngestQueue        = errors.New("rsserve: -ingest-queue must be ≥ 0 (0 = default)")
-	errWALWithEpoch          = errors.New("rsserve: -wal-dir is cumulative-mode only (replaying a log into an epoch ring would resurrect expired traffic)")
-	errWALWithDrop           = errors.New("rsserve: -wal-dir requires -ingest-policy block (drop could refuse a durable batch live, then resurrect it on replay)")
 	errBadWALSegmentSize     = errors.New("rsserve: -wal-segment-size must be ≥ 4096 bytes")
 	errRouterNeedsPeers      = errors.New("rsserve: -cluster-router needs -peers (a router with no replicas routes nowhere)")
 	errSelfNeedsPeers        = errors.New("rsserve: -self needs -peers (the membership the self URL is a member of)")
@@ -158,8 +156,6 @@ func (f serveFlags) validate() error {
 		return errNegativeIngestWorkers
 	case f.ingQueue < 0:
 		return errBadIngestQueue
-	case f.walDir != "" && f.epoch > 0:
-		return errWALWithEpoch
 	case f.walDir != "" && f.walSegSize < 4096:
 		return errBadWALSegmentSize
 	case f.router && f.peers == "":
@@ -196,8 +192,10 @@ func (f serveFlags) validate() error {
 		return fmt.Errorf("rsserve: %w", err)
 	}
 	if f.walDir != "" {
-		if policy == ingest.Drop {
-			return errWALWithDrop
+		// -epoch and -ingest-policy drop are refused by the same check the
+		// backends run (wal.ErrEpochMode, wal.ErrDropPolicy).
+		if err := wal.Refuse(f.epoch > 0, policy); err != nil {
+			return fmt.Errorf("rsserve: -wal-dir: %w", err)
 		}
 		if _, err := wal.ParseFsync(f.walFsync); err != nil {
 			return fmt.Errorf("rsserve: -wal-fsync: %w", err)
@@ -384,12 +382,10 @@ func main() {
 		if err := maybeRestore(*ckpt, *algo, spec, b.Restore); err != nil {
 			log.Fatalf("rsserve: %v", err)
 		}
-		if wlog != nil {
-			// Replays everything past the checkpoint cut through the same
-			// ingest path, then starts intercepting writes.
-			if err := b.AttachWAL(wlog, ckptLSN); err != nil {
-				log.Fatalf("rsserve: %v", err)
-			}
+		// Replays everything past the checkpoint cut through the same ingest
+		// path, then starts journaling writes (a no-op without -wal-dir).
+		if err := b.AttachWAL(wlog, ckptLSN); err != nil {
+			log.Fatalf("rsserve: %v", err)
 		}
 		backend = b
 		mode = "standalone"

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/query"
+	"repro/internal/wal"
 )
 
 // TestValidateFlags pins every rejected combination to its named error, so
@@ -90,6 +91,16 @@ func TestValidateFlags(t *testing.T) {
 			f.walDir = "/tmp/wal"
 			f.walSegSize = 4096
 		}, errRouterIsStateless},
+		{"wal with epoch", func(f *serveFlags) {
+			f.walDir = "/tmp/wal"
+			f.walSegSize = 4096
+			f.epoch = time.Second
+		}, wal.ErrEpochMode},
+		{"wal with drop policy", func(f *serveFlags) {
+			f.walDir = "/tmp/wal"
+			f.walSegSize = 4096
+			f.ingPolicy = "drop"
+		}, wal.ErrDropPolicy},
 		{"router with checkpoint", func(f *serveFlags) {
 			f.router = true
 			f.peers = "http://a:1"

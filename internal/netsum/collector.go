@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/epoch"
@@ -57,12 +56,11 @@ type CollectorConfig struct {
 	// depth, backpressure policy). Zero fields take the
 	// ingest package defaults.
 	Ingest ingest.Tuning
-	// WAL, when non-nil, makes ingest durable: every decoded wire batch is
-	// appended (with its agent attribution) before entering the pipeline,
-	// and NewCollector replays records past WALStartLSN — the restored
-	// checkpoint's cut — before accepting connections. Cumulative mode only:
-	// replaying old records into epoch rings would resurrect expired traffic
-	// into the live window.
+	// WAL, when non-nil, makes ingest durable through a wal.Journal: every
+	// decoded wire batch is appended (with its agent attribution) before
+	// entering the pipeline, and NewCollector replays records past
+	// WALStartLSN — the restored checkpoint's cut — before accepting
+	// connections. wal.Refuse rejects epoch mode and the drop policy.
 	WAL *wal.Log
 	// WALStartLSN is the WAL position the restored checkpoint covers (0 for
 	// a cold start); replay begins strictly after max(WALStartLSN, the
@@ -121,13 +119,9 @@ type Collector struct {
 	// were acked for.
 	pipe *ingest.Pipeline
 
-	// walMu orders WAL appends against snapshot cuts: connection handlers
-	// hold it shared around each (append, submit) pair, SnapshotGlobal holds
-	// it exclusive around (drain, serialize, capture LastLSN). walCut is the
-	// last cut — the point the log may be truncated through once that
-	// checkpoint file is durable (WALCheckpointCommitted).
-	walMu  sync.RWMutex
-	walCut atomic.Uint64
+	// journal owns cfg.WAL: replay, append-before-submit and the snapshot
+	// cut. Without a WAL, batches go straight to the pipeline.
+	journal wal.Journal
 
 	// updates/queries double as the collector's Prometheus instruments
 	// (RegisterMetrics); a telemetry.Counter is the same single atomic word
@@ -179,65 +173,40 @@ func NewCollector(addr string, cfg CollectorConfig) (*Collector, error) {
 		c.global = built
 	}
 	c.pipe = ingest.New(opts)
-	if cfg.WAL != nil {
-		if cfg.Epoch > 0 {
-			c.pipe.Close()
-			ln.Close()
-			return nil, errors.New("netsum: WAL-backed ingest is cumulative-mode only (epoch-ring state ages out instead)")
-		}
-		if cfg.Ingest.Policy == ingest.Drop {
-			// Drop would let a momentarily full queue refuse a batch that is
-			// already durable on disk — live state says dropped, the log
-			// resurrects it on replay, and the same race makes replay itself
-			// fail on a healthy log. Block is the only policy whose acks the
-			// WAL can honestly extend across a crash.
-			c.pipe.Close()
-			ln.Close()
-			return nil, errors.New("netsum: WAL-backed ingest requires the block policy (drop could refuse a durable batch live, then resurrect it on replay)")
-		}
-		// Replay the un-checkpointed tail through the same pipeline live
-		// traffic takes, before the listener accepts anything — so replayed
-		// and live batches never interleave, and per-agent attribution
-		// (Source, stored per record) lands exactly as it did pre-crash.
-		if err := c.replayWAL(cfg.WAL, cfg.WALStartLSN); err != nil {
-			c.pipe.Close()
-			ln.Close()
-			return nil, err
-		}
+	// Replay the un-checkpointed tail through the same pipeline live traffic
+	// takes, before the listener accepts anything — so replayed and live
+	// batches never interleave, and per-agent attribution (Source, stored
+	// per record) lands exactly as it did pre-crash.
+	if err := c.journal.Recover(cfg.WAL, cfg.WALStartLSN, wal.Ingester{
+		Epochal: cfg.Epoch > 0, Policy: cfg.Ingest.Policy, Land: c.replayBatch, Drain: c.drainIngest,
+	}); err != nil {
+		c.pipe.Close()
+		ln.Close()
+		return nil, fmt.Errorf("netsum: %w", err)
 	}
 	c.wg.Add(1)
 	go c.acceptLoop()
 	return c, nil
 }
 
-// replayWAL feeds every record past the checkpoint cut (and the log's own
-// watermark) back through the ingest pipeline and drains it to visibility.
-func (c *Collector) replayWAL(l *wal.Log, startLSN uint64) error {
-	after := max(startLSN, l.Watermark())
-	if _, err := l.Replay(after, func(b ingest.Batch, lsn uint64) error {
-		// The pipeline is always Block here (NewCollector refuses WAL+Drop),
-		// so Submit never refuses for a full queue — Dropped > 0 means the
-		// pipeline itself failed or closed, which recovery must not paper
-		// over.
-		ack := c.pipe.Submit(b)
-		if ack.Dropped > 0 {
-			return fmt.Errorf("netsum: replaying wal record %d: %d items refused (pipeline failed)", lsn, ack.Dropped)
-		}
-		c.updates.Add(uint64(ack.Accepted))
-		st, err := c.stateFor(b.Source - 1)
-		if err != nil {
-			return fmt.Errorf("netsum: replaying wal record %d: %w", lsn, err)
-		}
-		st.wire.Add(uint64(ack.Accepted))
-		return nil
-	}); err != nil {
-		return fmt.Errorf("netsum: wal replay: %w", err)
+// submit enters one agent's batch into the pipeline and credits the
+// accepted updates to the collector and to the agent.
+func (c *Collector) submit(st *agentState, b ingest.Batch) ingest.Ack {
+	ack := c.pipe.Submit(b)
+	c.updates.Add(uint64(ack.Accepted))
+	st.wire.Add(uint64(ack.Accepted))
+	return ack
+}
+
+// replayBatch is submit for a replayed record, whose agent is named only by
+// its Source.
+func (c *Collector) replayBatch(b ingest.Batch) ingest.Ack {
+	st, err := c.stateFor(b.Source - 1)
+	if err != nil {
+		c.logf("netsum: replaying agent %d: %v", b.Source-1, err)
+		return ingest.Ack{Dropped: len(b.Items)}
 	}
-	if err := c.drainIngest(); err != nil {
-		return fmt.Errorf("netsum: wal replay: %w", err)
-	}
-	c.walCut.Store(after)
-	return nil
+	return c.submit(st, b)
 }
 
 // applyBatch is the pipeline's landing hook: insert the batch into its
@@ -404,6 +373,7 @@ func (c *Collector) handle(conn net.Conn) error {
 	var agentID uint64
 	var agentSt *agentState // this agent's state, resolved once at hello
 	haveHello := false
+	land := func(b ingest.Batch) ingest.Ack { return c.submit(agentSt, b) }
 	reply := func(typ byte, payload []byte) error {
 		if err := writeFrame(bw, typ, payload); err != nil {
 			return err
@@ -455,31 +425,18 @@ func (c *Collector) handle(conn net.Conn) error {
 			// the Stats counter exact for every frame already handled on
 			// this connection, without Stats needing a pipeline drain.
 			//
-			// With a WAL, the batch hits disk (per the fsync policy) before
-			// the pipeline sees it. The v1 wire has no per-batch refusal
-			// frame, so a failed append drops the connection — the agent's
-			// resend path handles it — rather than silently accepting a
-			// write that would vanish on restart.
+			// With a WAL, the journal puts the batch on disk (per the fsync
+			// policy) before the pipeline sees it. The v1 wire has no
+			// per-batch refusal frame, so a failed append drops the
+			// connection — the agent's resend path handles it — rather than
+			// silently accepting a write that would vanish on restart.
 			batch := ingest.Batch{Items: ups, Source: agentID + 1}
 			if agentSt.ring != nil {
 				batch.Epoch = agentSt.ring.Epoch()
 			}
-			if c.cfg.WAL != nil {
-				c.walMu.RLock()
-				_, werr := c.cfg.WAL.Append(batch)
-				if werr != nil {
-					c.walMu.RUnlock()
-					return fmt.Errorf("netsum: wal append: %w", werr)
-				}
-				ack := c.pipe.Submit(batch)
-				c.walMu.RUnlock()
-				c.updates.Add(uint64(ack.Accepted))
-				agentSt.wire.Add(uint64(ack.Accepted))
-				continue
+			if _, err := c.journal.Ingest(batch, land); err != nil {
+				return fmt.Errorf("netsum: wal append: %w", err)
 			}
-			ack := c.pipe.Submit(batch)
-			c.updates.Add(uint64(ack.Accepted))
-			agentSt.wire.Add(uint64(ack.Accepted))
 
 		case msgQuery:
 			u := &uvarintReader{buf: payload}
@@ -584,73 +541,41 @@ func (c *Collector) CanSnapshotGlobal() error {
 
 // SnapshotGlobal checkpoints the merged global view — the collector's full
 // ingested history, including any restored baseline — so a restarted
-// collector can warm-start from it via RestoreBaseline. The view is
-// serialized into memory under globalMu and written to w after releasing
-// it, so global queries and per-batch global inserts stall for the
-// serialization only, never for the destination's I/O. With a WAL, the
-// (drain, serialize, capture LastLSN) cut runs under the exclusive side of
-// walMu so no (append, submit) pair straddles it: records at or below the
-// cut are in the snapshot, records above it replay on restart.
+// collector can warm-start from it via RestoreBaseline. The view is drained
+// and serialized into memory under the journal's cut (records at or below
+// the cut are in the snapshot, records above it replay on restart) and
+// written to w after it, so global queries and per-batch global inserts
+// stall for the serialization only, never for the destination's I/O.
 func (c *Collector) SnapshotGlobal(w io.Writer) error {
 	if err := c.CanSnapshotGlobal(); err != nil {
 		return err
 	}
 	sn := c.global.(sketch.Snapshotter)
-	if c.cfg.WAL != nil {
-		c.walMu.Lock()
-	}
-	buf, err := c.snapshotCut(sn)
-	if c.cfg.WAL != nil {
-		if err == nil {
-			c.walCut.Store(c.cfg.WAL.LastLSN())
+	var buf bytes.Buffer
+	if err := c.journal.Cut(func() error {
+		if err := c.drainIngest(); err != nil {
+			return err
 		}
-		c.walMu.Unlock()
-	}
-	if err != nil {
+		c.globalMu.Lock()
+		defer c.globalMu.Unlock()
+		return sn.Snapshot(&buf)
+	}); err != nil {
 		return err
 	}
-	_, err = w.Write(buf.Bytes())
+	_, err := w.Write(buf.Bytes())
 	return err
-}
-
-// snapshotCut drains pending ingest and serializes the merged view into a
-// buffer; the caller handles WAL cut ordering around it.
-func (c *Collector) snapshotCut(sn sketch.Snapshotter) (*bytes.Buffer, error) {
-	if err := c.drainIngest(); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	c.globalMu.Lock()
-	err := sn.Snapshot(&buf)
-	c.globalMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return &buf, nil
 }
 
 // WALCutLSN reports the WAL position the most recent SnapshotGlobal cut
 // covered (0 with no WAL).
-func (c *Collector) WALCutLSN() uint64 { return c.walCut.Load() }
+func (c *Collector) WALCutLSN() uint64 { return c.journal.CutLSN() }
 
-// WALCheckpointCommitted tells the collector its latest SnapshotGlobal is
-// durable on disk: the WAL's records through the cut are now redundant, so
-// the watermark advances and fully covered segments are deleted.
-func (c *Collector) WALCheckpointCommitted() error {
-	if c.cfg.WAL == nil {
-		return nil
-	}
-	return c.cfg.WAL.TruncateThrough(c.walCut.Load())
-}
+// WALCheckpointCommitted truncates the WAL through the last cut, now that
+// the checkpoint holding it is durable.
+func (c *Collector) WALCheckpointCommitted() error { return c.journal.Commit() }
 
 // WALStats snapshots the write-ahead log's counters (nil with no WAL).
-func (c *Collector) WALStats() *wal.Stats {
-	if c.cfg.WAL == nil {
-		return nil
-	}
-	st := c.cfg.WAL.Stats()
-	return &st
-}
+func (c *Collector) WALStats() *wal.Stats { return c.journal.Stats() }
 
 // RestoreBaseline warm-starts the collector from a SnapshotGlobal
 // checkpoint: the restored sketch becomes a read-only baseline whose
@@ -810,9 +735,7 @@ func (c *Collector) RegisterMetrics(reg *telemetry.Registry) {
 		}
 	})
 	c.pipe.RegisterMetrics(reg)
-	if c.cfg.WAL != nil {
-		c.cfg.WAL.RegisterMetrics(reg)
-	}
+	c.journal.RegisterMetrics(reg)
 }
 
 // Epochal reports whether the collector measures in sealed epoch windows —

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/epoch"
@@ -117,8 +116,7 @@ func (b CollectorBackend) CanCheckpoint() error { return b.C.CanSnapshotGlobal()
 // covered (0 with no WAL).
 func (b CollectorBackend) CutLSN() uint64 { return b.C.WALCutLSN() }
 
-// CheckpointCommitted advances the collector's WAL watermark through the
-// last cut, now that the checkpoint file holding it is durable.
+// CheckpointCommitted truncates the collector's WAL through the last cut.
 func (b CollectorBackend) CheckpointCommitted() error { return b.C.WALCheckpointCommitted() }
 
 // RegisterMetrics delegates to the collector, which registers its own
@@ -165,17 +163,10 @@ type SketchBackend struct {
 	// pipe is the optional async write plane; nil means synchronous ingest.
 	pipe *ingest.Pipeline
 
-	// wl is the optional write-ahead log (AttachWAL); every Ingest appends
-	// to it before touching the pipeline, so an acked batch is on disk
-	// before it is in memory. walMu orders appends against checkpoint cuts:
-	// ingest holds it shared around the (append, submit) pair, and the
-	// checkpoint cut holds it exclusive around (drain, serialize, capture
-	// LastLSN) — so every record at or below the cut LSN is in the snapshot
-	// and every record above it is not. cutLSN is the last cut, the point
-	// the log can be truncated through once that checkpoint file is durable.
-	wl     *wal.Log
-	walMu  sync.RWMutex
-	cutLSN atomic.Uint64
+	// journal makes ingest durable once AttachWAL gives it a log: it owns
+	// replay, append-before-submit and the checkpoint cut. Without a log
+	// Ingest goes straight to submit.
+	journal wal.Journal
 
 	// updates/queries double as the backend's Prometheus instruments
 	// (RegisterMetrics) — the same atomic words Status reads.
@@ -302,21 +293,17 @@ func (b *SketchBackend) Restore(r io.Reader) error {
 // synchronously otherwise. The Ack's generation is stamped from the
 // backend, so epoch-mode clients can key caches off their own writes.
 //
-// With a WAL attached, the batch is appended (and, per the fsync policy,
-// made durable) before it enters the pipeline — the ack promises the write
+// With a WAL attached, the journal appends the batch (durable per the fsync
+// policy) before it enters the pipeline — the ack promises the write
 // survives a crash. A failed append refuses the whole batch (Dropped) rather
 // than acking a write that would vanish on restart; the log's sticky failure
 // state surfaces in Status.
 func (b *SketchBackend) Ingest(batch ingest.Batch) ingest.Ack {
-	if b.wl == nil {
-		return b.submit(batch)
-	}
-	b.walMu.RLock()
-	defer b.walMu.RUnlock()
-	if _, err := b.wl.Append(batch); err != nil {
+	ack, err := b.journal.Ingest(batch, b.submit)
+	if err != nil {
 		return ingest.Ack{Dropped: len(batch.Items), Generation: b.peekGeneration()}
 	}
-	return b.submit(batch)
+	return ack
 }
 
 // submit is Ingest minus durability: the in-memory landing path, shared by
@@ -431,108 +418,61 @@ func (b *SketchBackend) Generation() uint64 {
 // Epochal reports epoch mode.
 func (b *SketchBackend) Epochal() bool { return b.ring != nil }
 
-// AttachWAL wires a write-ahead log into the backend: every record past
-// ckptLSN (the restored checkpoint's cut) and the log's own watermark is
-// replayed through the same in-memory path live traffic takes, drained to
-// visibility, and only then does the log start intercepting Ingest — no
-// appends happen during replay. Cumulative mode only: replaying old records
-// into an epoch ring would resurrect expired traffic into the live window.
+// AttachWAL makes ingest durable through l: the journal replays every
+// record past ckptLSN (the restored checkpoint's cut) and the log's own
+// watermark through submit, drains, and only then starts appending each
+// Ingest. It refuses epoch mode and a drop-policy pipeline (wal.Refuse). A
+// nil l leaves ingest unlogged.
 func (b *SketchBackend) AttachWAL(l *wal.Log, ckptLSN uint64) error {
-	if b.ring != nil {
-		return errors.New("queryd: WAL-backed ingest is cumulative-mode only (epoch-ring state ages out instead)")
+	policy := ingest.Block // synchronous ingest never drops
+	if b.pipe != nil {
+		policy = b.pipe.Policy()
 	}
-	if b.wl != nil {
-		return errors.New("queryd: WAL already attached")
-	}
-	if b.pipe != nil && b.pipe.Policy() == ingest.Drop {
-		// Drop would let a momentarily full queue refuse a batch already
-		// durable on disk — live state says dropped, the log resurrects it
-		// on replay, and the same race makes replay itself fail on a healthy
-		// log. Block is the only policy whose acks the WAL can honestly
-		// extend across a crash.
-		return errors.New("queryd: WAL-backed ingest requires the block ingest policy (drop could refuse a durable batch live, then resurrect it on replay)")
-	}
-	after := max(ckptLSN, l.Watermark())
-	if _, err := l.Replay(after, func(batch ingest.Batch, lsn uint64) error {
-		// The pipeline (if any) is Block, so Dropped > 0 means it failed or
-		// closed — recovery must not paper over that.
-		if ack := b.submit(batch); ack.Dropped > 0 {
-			return fmt.Errorf("queryd: replaying wal record %d: %d items refused (pipeline failed)", lsn, ack.Dropped)
-		}
-		return nil
+	if err := b.journal.Recover(l, ckptLSN, wal.Ingester{
+		Epochal: b.ring != nil, Policy: policy, Land: b.submit, Drain: b.drain,
 	}); err != nil {
-		return err
+		return fmt.Errorf("queryd: %w", err)
 	}
-	if err := b.drain(); err != nil {
-		return err
-	}
-	b.cutLSN.Store(after)
-	b.wl = l
 	return nil
 }
 
 // CutLSN reports the WAL position the most recent checkpoint cut covered.
-func (b *SketchBackend) CutLSN() uint64 { return b.cutLSN.Load() }
+func (b *SketchBackend) CutLSN() uint64 { return b.journal.CutLSN() }
 
-// CheckpointCommitted tells the backend its latest Checkpoint is durable on
-// disk: the WAL's records through the cut are now redundant, so the
-// watermark advances and fully covered segments are deleted.
-func (b *SketchBackend) CheckpointCommitted() error {
-	if b.wl == nil {
-		return nil
-	}
-	return b.wl.TruncateThrough(b.cutLSN.Load())
-}
+// CheckpointCommitted truncates the WAL through the last cut, now that the
+// checkpoint holding it is durable.
+func (b *SketchBackend) CheckpointCommitted() error { return b.journal.Commit() }
 
 // Checkpoint snapshots the cumulative sketch. Readers may run concurrently
-// (a snapshot is a read); ingest is excluded for the serialization only —
-// the state is captured into memory under the lock and written to w after
-// releasing it, so ingest never stalls on the destination's I/O. With a WAL
-// attached, the (drain, serialize, capture LastLSN) cut runs under the
-// exclusive side of walMu so no (append, submit) pair straddles it.
+// (a snapshot is a read); ingest is excluded for the journal's cut only —
+// the state is drained and serialized into memory, then written to w after
+// the cut, so ingest never stalls on the destination's I/O.
 func (b *SketchBackend) Checkpoint(w io.Writer) error {
 	if err := b.CanCheckpoint(); err != nil {
 		return err
 	}
-	sn := b.sk.(sketch.Snapshotter)
-	if b.wl != nil {
-		b.walMu.Lock()
-	}
-	buf, err := b.checkpointCut(sn)
-	if b.wl != nil {
-		if err == nil {
-			b.cutLSN.Store(b.wl.LastLSN())
-		}
-		b.walMu.Unlock()
-	}
-	if err != nil {
+	var buf bytes.Buffer
+	if err := b.journal.Cut(func() error { return b.snapshot(&buf) }); err != nil {
 		return err
 	}
-	_, err = w.Write(buf.Bytes())
+	_, err := w.Write(buf.Bytes())
 	return err
 }
 
-// checkpointCut drains pending ingest and serializes the sketch into a
-// buffer; the caller handles WAL cut ordering around it.
-func (b *SketchBackend) checkpointCut(sn sketch.Snapshotter) (*bytes.Buffer, error) {
+// snapshot drains pending ingest and serializes the sketch into buf; the
+// caller has checked CanCheckpoint.
+func (b *SketchBackend) snapshot(buf *bytes.Buffer) error {
 	if err := b.drain(); err != nil {
-		return nil, err
+		return err
 	}
-	var buf bytes.Buffer
+	sn := b.sk.(sketch.Snapshotter)
 	if b.selfSynced {
 		// Sharded snapshots lock shard-by-shard themselves.
-		if err := sn.Snapshot(&buf); err != nil {
-			return nil, err
-		}
-	} else {
-		b.mu.RLock()
-		err := sn.Snapshot(&buf)
-		b.mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
+		return sn.Snapshot(buf)
 	}
-	return &buf, nil
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return sn.Snapshot(buf)
 }
 
 // CanCheckpoint reports whether the backend is a cumulative snapshottable
@@ -557,9 +497,7 @@ func (b *SketchBackend) RegisterMetrics(reg *telemetry.Registry) {
 	if b.pipe != nil {
 		b.pipe.RegisterMetrics(reg)
 	}
-	if b.wl != nil {
-		b.wl.RegisterMetrics(reg)
-	}
+	b.journal.RegisterMetrics(reg)
 	if b.ring != nil {
 		b.ring.RegisterMetrics(reg)
 	}
@@ -579,9 +517,6 @@ func (b *SketchBackend) Status() Status {
 		ist := b.pipe.Stats()
 		st.Ingest = &ist
 	}
-	if b.wl != nil {
-		ws := b.wl.Stats()
-		st.WAL = &ws
-	}
+	st.WAL = b.journal.Stats()
 	return st
 }

@@ -88,11 +88,11 @@ func (b *SketchBackend) SnapshotDelta(w io.Writer) (uint64, error) {
 		return 0, err
 	}
 	ver := b.updates.Value()
-	buf, err := b.checkpointCut(b.sk.(sketch.Snapshotter))
-	if err != nil {
+	var buf bytes.Buffer
+	if err := b.snapshot(&buf); err != nil {
 		return 0, err
 	}
-	_, err = w.Write(buf.Bytes())
+	_, err := w.Write(buf.Bytes())
 	return ver, err
 }
 

@@ -122,10 +122,12 @@ type Server struct {
 	ckptErr  error
 }
 
-// WALBacked is implemented by backends whose ingest is write-ahead logged.
-// The server closes the durability loop: after a checkpoint file lands (tmp
-// + fsync + rename + dir fsync), CheckpointCommitted lets the backend
-// advance its WAL watermark through CutLSN and truncate dead segments.
+// WALBacked is implemented by backends whose ingest is write-ahead logged;
+// both SketchBackend and CollectorBackend answer it from their wal.Journal,
+// which owns the cut. The server closes the durability loop: after a
+// checkpoint file lands (tmp + fsync + rename + dir fsync),
+// CheckpointCommitted lets the backend advance its WAL watermark through
+// CutLSN and truncate dead segments.
 type WALBacked interface {
 	// CutLSN is the WAL position the backend's most recent Checkpoint cut
 	// covered; the snapshot in that checkpoint holds every record at or

@@ -356,3 +356,32 @@ func TestKillRecoveryReadYourAckedWrites(t *testing.T) {
 		}
 	}
 }
+
+// TestWALIngestAllocs pins the cost of one 1024-item batch through a
+// WAL-backed pipelined backend with fsync off, so the count covers the
+// journal, the append and the submit, not the disk. None of them may
+// allocate per batch.
+//
+// Judged on the best of a few attempts: AllocsPerRun counts process-wide
+// mallocs and interference only ever adds.
+func TestWALIngestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	b, _ := newWALBackend(t, t.TempDir(), 0, wal.Options{Fsync: wal.FsyncPolicy{Mode: wal.SyncOff}})
+	items := make([]stream.Item, 1024)
+	for i := range items {
+		items[i] = stream.Item{Key: uint64(i + 1), Value: 1}
+	}
+	batch := ingest.Batch{Items: items}
+	if ack := b.Ingest(batch); ack.Dropped != 0 {
+		t.Fatalf("warm-up batch dropped %d items", ack.Dropped)
+	}
+	best := 1e18
+	for attempt := 0; attempt < 3; attempt++ {
+		best = min(best, testing.AllocsPerRun(200, func() { b.Ingest(batch) }))
+	}
+	if best > 0 {
+		t.Errorf("a WAL-backed 1024-item Ingest allocates %.2f times, want 0", best)
+	}
+}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -98,41 +99,39 @@ func appendRecord(dst []byte, b ingest.Batch) []byte {
 	return dst
 }
 
-// decodeRecord parses a CRC-verified payload back into the typed batch.
+// errBadRecord marks a CRC-verified payload the encoder cannot have
+// written: corruption that slipped past a CRC collision.
+var errBadRecord = errors.New("wal: malformed record payload")
+
+// decodeRecord parses a CRC-verified payload back into the typed batch. It
+// accepts exactly what appendRecord writes — canonical uvarints, no
+// trailing bytes — and refuses anything else with errBadRecord.
 func decodeRecord(payload []byte) (ingest.Batch, error) {
-	var b ingest.Batch
-	next := func() (uint64, error) {
+	bad := false
+	next := func() uint64 {
 		v, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return 0, fmt.Errorf("wal: record payload truncated despite valid CRC")
+		// A multi-byte uvarint ending in a zero byte is a longer spelling
+		// of a smaller one; the encoder always writes the shortest.
+		if n <= 0 || (n > 1 && payload[n-1] == 0) {
+			bad = true
+			return 0
 		}
 		payload = payload[n:]
-		return v, nil
+		return v
 	}
-	var err error
-	if b.Source, err = next(); err != nil {
-		return b, err
-	}
-	if b.Epoch, err = next(); err != nil {
-		return b, err
-	}
-	count, err := next()
-	if err != nil {
-		return b, err
-	}
-	// Each item is ≥ 2 bytes; a count beyond the remaining payload is
-	// corruption that slipped a CRC collision — refuse, don't allocate.
-	if count > uint64(len(payload)) {
-		return b, fmt.Errorf("wal: record claims %d items in %d payload bytes", count, len(payload))
+	b := ingest.Batch{Source: next(), Epoch: next()}
+	count := next()
+	// Each item is ≥ 2 bytes (two uvarints), so a count beyond half the
+	// remaining payload is corruption — refuse it before allocating.
+	if bad || count > uint64(len(payload)/2) {
+		return b, fmt.Errorf("%w: bad header, or %d items claimed in %d bytes", errBadRecord, count, len(payload))
 	}
 	b.Items = make([]stream.Item, count)
 	for i := range b.Items {
-		if b.Items[i].Key, err = next(); err != nil {
-			return b, err
-		}
-		if b.Items[i].Value, err = next(); err != nil {
-			return b, err
-		}
+		b.Items[i] = stream.Item{Key: next(), Value: next()}
+	}
+	if bad || len(payload) != 0 {
+		return b, fmt.Errorf("%w: truncated, non-canonical or trailing bytes", errBadRecord)
 	}
 	return b, nil
 }

@@ -69,8 +69,7 @@ func scanSegment(path string, wantFirst uint64) (records int, validBytes, tornBy
 }
 
 // Replay feeds every record with LSN strictly greater than after to fn, in
-// append order — the recovery path: fn is typically a Submit into the same
-// ingest pipeline live traffic takes, followed by a Drain. Call it after
+// append order — the recovery path Journal.Recover drives. Call it after
 // Open and before the first Append; appends are excluded for the duration.
 // A CRC failure inside a sealed segment (mid-log corruption, not a torn
 // tail — Open already truncated that) is a hard error: whole durable

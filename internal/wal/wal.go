@@ -1,8 +1,7 @@
 // Package wal is the durability subsystem at the ingest-plane boundary: a
 // write-ahead log of typed ingest.Batch frames, so an Ack can be a promise
-// the system keeps across a crash. PR 5's pipeline acks every batch, but
-// until now everything since the last checkpoint died with the process —
-// "read-your-acked-writes" held only while the process lived.
+// the system keeps across a crash. Without it, everything since the last
+// checkpoint dies with the process.
 //
 // The log is a directory of append-only segment files (length-framed,
 // CRC32-checked records; rotation by size) plus a MANIFEST tracking segment
@@ -24,6 +23,10 @@
 // (TruncateThrough) and deletes dead segments. Torn tails — a crash mid
 // append — are detected by CRC at Open, truncated to the last whole record,
 // and counted; a partial batch is never replayed.
+//
+// Journal runs that protocol for every ingester — replay, append before
+// land, the checkpoint cut, truncation after commit and the two refused
+// configurations — and each ingester supplies only its landing path.
 package wal
 
 import (
@@ -475,8 +478,8 @@ func (l *Log) writeManifest() error {
 }
 
 // LastLSN returns the LSN of the most recently appended record (0 when the
-// log has never held one). Under the backend's checkpoint cut — appends
-// excluded — this is the exact watermark a snapshot covers.
+// log has never held one). Under a Journal cut — appends excluded — this
+// is the exact watermark a snapshot covers.
 func (l *Log) LastLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -567,9 +570,7 @@ func (l *Log) failLocked(err error) {
 // write happens while holding l.mu (Append, syncLocked's callers, Replay,
 // and load all do), so the snapshot is fully consistent: appended never
 // lags behind the LSN it produced, fsyncs never lag the appends they made
-// durable. The earlier version read the atomics after unlocking, so a
-// concurrent Append could skew appended_records ahead of last_lsn within
-// one snapshot. Prometheus scrapes (RegisterMetrics) deliberately keep the
+// durable. Prometheus scrapes (RegisterMetrics) deliberately keep the
 // lock-free independent atomic loads instead — there, appended/fsyncs/
 // replayed/torn/truncations may each be exact for slightly different
 // instants within one scrape, the standard exposition contract.

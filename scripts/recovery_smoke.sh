@@ -4,6 +4,8 @@
 # the same -wal-dir/-checkpoint, and assert every acked count is inside the
 # recovered certified interval. Exercises the full durability pipeline —
 # checkpoint restore plus WAL tail replay — from outside the process.
+# Writes go through /v2/ingest and reads through /v2/query; /v1/status and
+# /v1/checkpoint have no v2 form.
 #
 # Requires: go, curl, python3 (JSON assertions). Run from anywhere.
 set -euo pipefail
@@ -50,23 +52,24 @@ ingest() {
   body=$(python3 -c 'import json,sys
 k, n = int(sys.argv[1]), int(sys.argv[2])
 print(json.dumps({"items": [{"key": k, "value": 1}] * n}))' "$key" "$n")
-  resp=$(curl -fsS -X POST --data "$body" "$BASE/v1/insert")
+  resp=$(curl -fsS -X POST --data "$body" "$BASE/v2/ingest")
   python3 -c 'import json,sys
 r = json.loads(sys.argv[1])
 n = int(sys.argv[2])
-assert r["ingested"] == n and r["dropped"] == 0, f"ack {r} for batch of {n}"' "$resp" "$n"
+assert r["accepted"] == n and r["dropped"] == 0, f"ack {r} for batch of {n}"' "$resp" "$n"
 }
 
-# assert_contains KEY TRUTH — the certified interval [lower, upper] of
-# /v1/point must contain TRUTH.
+# assert_contains KEY TRUTH — the certified interval [lower, upper] that a
+# /v2/query point batch returns for KEY must contain TRUTH.
 assert_contains() {
   local key=$1 truth=$2 resp
-  resp=$(curl -fsS "$BASE/v1/point?key=$key")
+  resp=$(curl -fsS -X POST --data "{\"kind\":\"point\",\"keys\":[$key]}" "$BASE/v2/query")
   python3 -c 'import json,sys
 r = json.loads(sys.argv[1])
 truth = int(sys.argv[2])
-key, lo, hi = r["key"], r["lower"], r["upper"]
 assert r["certified"], f"uncertified answer: {r}"
+(e,) = r["per_key"]
+key, lo, hi = e["key"], e["lower"], e["upper"]
 assert lo <= truth <= hi, f"key {key}: certified [{lo}, {hi}] misses acked truth {truth}"
 print(f"key {key}: truth {truth} in certified [{lo}, {hi}]")' "$resp" "$truth"
 }

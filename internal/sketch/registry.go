@@ -39,9 +39,10 @@ const (
 	// CapBatchQuery marks sketches implementing BatchQuerier (a native
 	// batch read path with amortized hashing and instrumentation) — the
 	// read-side sibling of InsertBatch that the unified query plane
-	// (internal/query) is built on. Sharded wrappers batch regardless (the
-	// per-shard lock amortization is theirs), so the capability describes
-	// the flat build.
+	// (internal/query) is built on. Every sharded build batches regardless
+	// (the batch paths and per-shard lock amortization live on Sharded,
+	// which all three wrappers embed), so the capability describes the flat
+	// build.
 	CapBatchQuery
 )
 
@@ -118,13 +119,14 @@ func Register(name string, caps Capability, build Builder) {
 	if _, dup := entries[name]; dup {
 		panic(fmt.Sprintf("sketch: duplicate registration of %q", name))
 	}
-	entries[name] = Entry{Name: name, Caps: caps, Build: wrapSharding(name, build)}
+	entries[name] = Entry{Name: name, Caps: caps, Build: wrapSharding(name, caps, build)}
 }
 
 // wrapSharding applies the Spec.Shards option uniformly so individual
 // builders never have to: a sharded request partitions the memory budget
-// across Spec.Shards hash-partitioned sub-sketches.
-func wrapSharding(name string, build Builder) Builder {
+// across Spec.Shards hash-partitioned sub-sketches, wrapped to implement
+// exactly the interfaces caps declares.
+func wrapSharding(name string, caps Capability, build Builder) Builder {
 	return func(sp Spec) Sketch {
 		sp = sp.withDefaults()
 		if sp.Shards <= 1 {
@@ -137,8 +139,7 @@ func wrapSharding(name string, build Builder) Builder {
 			one.MemoryBytes = memBytes
 			return build(one)
 		}}
-		// Wrap preserves exactly the capabilities the shards can delegate.
-		return NewSharded(f, sp.MemoryBytes, sp.Shards, sp.Seed).Wrap()
+		return NewSharded(f, sp.MemoryBytes, sp.Shards, sp.Seed).wrap(caps)
 	}
 }
 

@@ -108,6 +108,7 @@ func TestCapabilitiesMatchInterfaces(t *testing.T) {
 		}{
 			{sketch.CapErrorBounded, "ErrorBounded", func() bool { _, ok := sharded.(sketch.ErrorBounded); return ok }()},
 			{sketch.CapHeavyHitter, "HeavyHitter", func() bool { _, ok := sharded.(sketch.HeavyHitterReporter); return ok }()},
+			{sketch.CapResettable, "Resettable", func() bool { _, ok := sharded.(sketch.Resettable); return ok }()},
 			{sketch.CapMergeable, "Mergeable", func() bool { _, ok := sharded.(sketch.Mergeable); return ok }()},
 			{sketch.CapSnapshottable, "Snapshottable", func() bool { _, ok := sharded.(sketch.Snapshotter); return ok }()},
 		} {
@@ -189,8 +190,8 @@ func TestBuildUnknownName(t *testing.T) {
 func TestSpecShardsWrapsSharded(t *testing.T) {
 	const budget = 256 << 10
 	sk := sketch.MustBuild("Ours", sketch.Spec{MemoryBytes: budget, Lambda: 25, Seed: 1, Shards: 4})
-	if _, ok := sk.(sketch.SnapshottableMergeableErrorBoundedSharded); !ok {
-		t.Fatalf("Shards=4 over an ErrorBounded+Mergeable+Snapshottable variant built %T, want sketch.SnapshottableMergeableErrorBoundedSharded", sk)
+	if _, ok := sk.(sketch.CertifiedSharded); !ok {
+		t.Fatalf("Shards=4 over an ErrorBounded+Mergeable+Snapshottable variant built %T, want sketch.CertifiedSharded", sk)
 	}
 	if got := sk.MemoryBytes(); got > budget {
 		t.Errorf("sharded MemoryBytes %d exceeds budget %d", got, budget)

@@ -98,12 +98,6 @@ func grow[T any](sl []T, n int) []T {
 // calls.
 func (s *Sharded) InsertBatch(items []stream.Item) {
 	n := len(s.shards)
-	if n == 1 {
-		s.mus[0].Lock()
-		InsertBatch(s.shards[0], items)
-		s.mus[0].Unlock()
-		return
-	}
 	sc := shardedScratchPool.Get().(*shardedScratch)
 	defer shardedScratchPool.Put(sc)
 	sc.parts = grow(sc.parts, n)
@@ -163,12 +157,6 @@ const shardedBatchFactor = 4
 // buffers are per-call.
 func (s *Sharded) QueryBatch(keys []uint64, est, mpe []uint64) {
 	n := len(s.shards)
-	if n == 1 {
-		s.mus[0].Lock()
-		QueryBatch(s.shards[0], keys, est, mpe)
-		s.mus[0].Unlock()
-		return
-	}
 	if len(keys) < shardedBatchFactor*n {
 		for i, k := range keys {
 			p := s.shard(k)
@@ -264,45 +252,73 @@ func (s *Sharded) QueryBatch(keys []uint64, est, mpe []uint64) {
 	}
 }
 
-// Wrap upgrades the sharded fan-out with the interfaces its sub-sketches
-// actually implement, so sharding never erases a capability that can be
-// delegated soundly — and never fakes one that can't. Shards are built by
-// one factory, so probing shard 0 decides for all.
-func (s *Sharded) Wrap() Sketch {
-	_, eb := s.shards[0].(ErrorBounded)
-	_, hh := s.shards[0].(HeavyHitterReporter)
-	_, mg := s.shards[0].(Mergeable)
-	_, sn := s.shards[0].(Snapshotter)
-	// Snapshottable wrappers exist for the capability combinations the
-	// registry actually produces: every Snapshotter variant is also
-	// Mergeable (Ours/SS certify and track; CM/CU/Count do neither).
-	switch {
-	case eb && hh && mg && sn:
-		return SnapshottableMergeableErrorBoundedSharded{MergeableErrorBoundedSharded{ErrorBoundedSharded{TrackedSharded{s}}}}
-	case eb && hh && mg:
-		return MergeableErrorBoundedSharded{ErrorBoundedSharded{TrackedSharded{s}}}
-	case eb && hh:
-		return ErrorBoundedSharded{TrackedSharded{s}}
-	case eb && mg:
-		return MergeableCertifiedSharded{CertifiedSharded{s}}
-	case eb:
-		return CertifiedSharded{s}
-	case hh && mg:
-		return MergeableTrackedSharded{TrackedSharded{s}}
-	case hh:
-		return TrackedSharded{s}
-	case mg && sn:
-		return SnapshottableMergeableSharded{MergeableSharded{s}}
-	case mg:
+// shardedCaps are the capability bits that select a sharded wrapper. The
+// rest need none: Reset and the batch paths live on *Sharded itself, and
+// LambdaTargeting describes the builder, not the built sketch.
+const shardedCaps = CapErrorBounded | CapHeavyHitter | CapMergeable | CapSnapshottable
+
+// wrap dresses the fan-out in the wrapper for the capability set its
+// variant registered, so the registry's declaration alone decides which
+// interfaces a sharded build implements. Only the sets the registry builds
+// have a wrapper; any other panics, so a newly registered variant fails the
+// registry conformance test instead of silently gaining or losing one.
+func (s *Sharded) wrap(caps Capability) Sketch {
+	switch c := caps & shardedCaps; c {
+	case shardedCaps:
+		return CertifiedSharded{MergeableSharded{s}}
+	case CapMergeable | CapSnapshottable:
 		return MergeableSharded{s}
-	default:
+	case CapHeavyHitter:
+		return TrackedSharded{s}
+	case 0:
 		return s
+	default:
+		panic(fmt.Sprintf("sketch: no sharded wrapper for %s's capability set %s", s.name, c))
 	}
 }
 
-// base exposes the underlying fan-out to mergeFrom through any wrapper
-// depth; every wrapper type inherits it by embedding.
+// base exposes the underlying fan-out to Merge through any wrapper;
+// every wrapper type inherits it by embedding.
 func (s *Sharded) base() *Sharded { return s }
+
+// Reset clears every shard implementing Resettable in place. It lives on
+// Sharded itself (every algorithm in the repository is Resettable); shards
+// without Reset are left untouched.
+func (s *Sharded) Reset() {
+	for i, sh := range s.shards {
+		r, ok := sh.(Resettable)
+		if !ok {
+			continue
+		}
+		s.mus[i].Lock()
+		r.Reset()
+		s.mus[i].Unlock()
+	}
+}
+
+// tracked concatenates the tracked keys of every shard (key ownership is
+// disjoint, so no merging is needed). It is unexported so a bare *Sharded
+// never claims HeavyHitterReporter; the wrappers export it.
+func (s *Sharded) tracked() []KV {
+	var out []KV
+	for i, sh := range s.shards {
+		s.mus[i].Lock()
+		out = append(out, sh.(HeavyHitterReporter).Tracked()...)
+		s.mus[i].Unlock()
+	}
+	return out
+}
+
+// TrackedSharded is the fan-out of a variant that reports heavy hitters
+// and nothing more (sharded Coco/Elastic/Frequent/HashPipe/PRECISION).
+type TrackedSharded struct{ *Sharded }
+
+// Tracked concatenates the shards' tracked keys.
+func (s TrackedSharded) Tracked() []KV { return s.tracked() }
+
+// MergeableSharded is the fan-out of a variant that merges and snapshots
+// (sharded CM/CU/Count), and the base of CertifiedSharded.
+type MergeableSharded struct{ *Sharded }
 
 // shardedMergeMu serializes Sharded-into-Sharded merges process-wide, so
 // two concurrent opposite-direction merges cannot deadlock on each other's
@@ -310,17 +326,17 @@ func (s *Sharded) base() *Sharded { return s }
 // this lock.
 var shardedMergeMu sync.Mutex
 
-// mergeFrom folds another sharded fan-out shard-by-shard. Both sides must
-// route keys identically (same shard count and seed), so shard i of the
-// source summarizes exactly the key partition shard i of the receiver
-// owns, and the per-shard Merge semantics carry over unchanged.
-func (s *Sharded) mergeFrom(other Sketch) error {
+// Merge folds another sharded fan-out shard-by-shard. Both sides must route
+// keys identically (same shard count and seed), so shard i of the source
+// summarizes exactly the key partition shard i of the receiver owns, and
+// the per-shard Merge semantics carry over unchanged.
+func (s MergeableSharded) Merge(other Sketch) error {
 	w, ok := other.(interface{ base() *Sharded })
 	if !ok {
 		return MergeIncompatible(s, other, "not a sharded sketch")
 	}
 	o := w.base()
-	if o == s {
+	if o == s.Sharded {
 		return MergeIncompatible(s, other, "cannot merge a sketch into itself")
 	}
 	if len(s.shards) != len(o.shards) {
@@ -348,132 +364,14 @@ func (s *Sharded) mergeFrom(other Sketch) error {
 	return nil
 }
 
-// Reset clears every shard implementing Resettable in place. It lives on
-// Sharded itself (every algorithm in the repository is Resettable); shards
-// without Reset are left untouched.
-func (s *Sharded) Reset() {
-	for i, sh := range s.shards {
-		r, ok := sh.(Resettable)
-		if !ok {
-			continue
-		}
-		s.mus[i].Lock()
-		r.Reset()
-		s.mus[i].Unlock()
-	}
-}
-
-// TrackedSharded augments a Sharded whose sub-sketches report heavy
-// hitters. It is a distinct type (rather than a method on Sharded) so a
-// sharded sketch type-asserts as HeavyHitterReporter exactly when its
-// shards do.
-type TrackedSharded struct{ *Sharded }
-
-// Tracked concatenates the tracked keys of every shard (key ownership is
-// disjoint, so no merging is needed).
-func (s TrackedSharded) Tracked() []KV {
-	var out []KV
-	for i, sh := range s.shards {
-		s.mus[i].Lock()
-		out = append(out, sh.(HeavyHitterReporter).Tracked()...)
-		s.mus[i].Unlock()
-	}
-	return out
-}
-
-// shardedQueryWithError delegates a certified query to the owning shard:
-// each key is owned by exactly one shard, so the owning shard's certified
-// interval IS the sharded sketch's — no composition needed.
-func shardedQueryWithError(s *Sharded, key uint64) (est, mpe uint64) {
-	i := s.shard(key)
-	s.mus[i].Lock()
-	defer s.mus[i].Unlock()
-	return s.shards[i].(ErrorBounded).QueryWithError(key)
-}
-
-// CertifiedSharded augments a Sharded whose sub-sketches certify their
-// errors but do not report heavy hitters.
-type CertifiedSharded struct{ *Sharded }
-
-// QueryWithError reads the certified interval from the owning shard.
-func (s CertifiedSharded) QueryWithError(key uint64) (est, mpe uint64) {
-	return shardedQueryWithError(s.Sharded, key)
-}
-
-// ErrorBoundedSharded augments a TrackedSharded whose sub-sketches both
-// certify their errors and report heavy hitters (true of every
-// ErrorBounded algorithm in the repository).
-type ErrorBoundedSharded struct{ TrackedSharded }
-
-// QueryWithError reads the certified interval from the owning shard.
-func (s ErrorBoundedSharded) QueryWithError(key uint64) (est, mpe uint64) {
-	return shardedQueryWithError(s.Sharded, key)
-}
-
-// The Mergeable* wrapper family mirrors the capability wrappers above for
-// shards that support Merge, so a sharded sketch type-asserts as Mergeable
-// exactly when its sub-sketches do. Each is a distinct type (not a method
-// on Sharded) for the same reason TrackedSharded is.
-
-// MergeableSharded augments a Sharded whose sub-sketches support Merge but
-// neither certify errors nor report heavy hitters (sharded CM/CU/Count).
-type MergeableSharded struct{ *Sharded }
-
-// Merge folds another sharded fan-out in shard-by-shard.
-func (s MergeableSharded) Merge(other Sketch) error { return s.mergeFrom(other) }
-
-// MergeableTrackedSharded adds Merge to a heavy-hitter-reporting fan-out.
-type MergeableTrackedSharded struct{ TrackedSharded }
-
-// Merge folds another sharded fan-out in shard-by-shard.
-func (s MergeableTrackedSharded) Merge(other Sketch) error { return s.mergeFrom(other) }
-
-// MergeableCertifiedSharded adds Merge to an error-certifying fan-out.
-type MergeableCertifiedSharded struct{ CertifiedSharded }
-
-// Merge folds another sharded fan-out in shard-by-shard.
-func (s MergeableCertifiedSharded) Merge(other Sketch) error { return s.mergeFrom(other) }
-
-// MergeableErrorBoundedSharded adds Merge to a fan-out that both certifies
-// errors and reports heavy hitters (sharded Ours/SS).
-type MergeableErrorBoundedSharded struct{ ErrorBoundedSharded }
-
-// Merge folds another sharded fan-out in shard-by-shard.
-func (s MergeableErrorBoundedSharded) Merge(other Sketch) error { return s.mergeFrom(other) }
-
-// SnapshottableMergeableSharded adds Snapshot/Restore to a mergeable
-// fan-out (sharded CM/CU/Count).
-type SnapshottableMergeableSharded struct{ MergeableSharded }
-
-// Snapshot writes every shard's state, framed per shard.
-func (s SnapshottableMergeableSharded) Snapshot(w io.Writer) error { return s.snapshotShards(w) }
-
-// Restore replaces every shard's state from a same-Spec sibling's snapshot.
-func (s SnapshottableMergeableSharded) Restore(r io.Reader) error { return s.restoreShards(r) }
-
-// SnapshottableMergeableErrorBoundedSharded adds Snapshot/Restore to a
-// fan-out that also certifies errors and reports heavy hitters (sharded
-// Ours/SS).
-type SnapshottableMergeableErrorBoundedSharded struct{ MergeableErrorBoundedSharded }
-
-// Snapshot writes every shard's state, framed per shard.
-func (s SnapshottableMergeableErrorBoundedSharded) Snapshot(w io.Writer) error {
-	return s.snapshotShards(w)
-}
-
-// Restore replaces every shard's state from a same-Spec sibling's snapshot.
-func (s SnapshottableMergeableErrorBoundedSharded) Restore(r io.Reader) error {
-	return s.restoreShards(r)
-}
-
 // shardedMagic versions the sharded snapshot container format.
 var shardedMagic = [4]byte{'S', 'H', 'S', '1'}
 
-// snapshotShards serializes the fan-out: magic | shard count | routing seed
-// | per-shard length-prefixed snapshots. Each shard snapshot is framed by
-// its byte length because shard codecs may buffer reads past their logical
-// end — framing is what makes the concatenation safely decodable.
-func (s *Sharded) snapshotShards(w io.Writer) error {
+// Snapshot serializes the fan-out: magic | shard count | routing seed |
+// per-shard length-prefixed snapshots. Each shard snapshot is framed by its
+// byte length because shard codecs may buffer reads past their logical end
+// — framing is what makes the concatenation safely decodable.
+func (s MergeableSharded) Snapshot(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	bw.Write(shardedMagic[:])
 	var scratch [binary.MaxVarintLen64]byte
@@ -502,10 +400,12 @@ func (s *Sharded) snapshotShards(w io.Writer) error {
 	return bw.Flush()
 }
 
-// restoreShards replaces every shard's state from a snapshotShards stream.
+// Restore replaces every shard's state from a same-Spec sibling's Snapshot.
 // Shard count and routing seed must match the receiver's: a snapshot routed
-// differently would assign keys to the wrong shards.
-func (s *Sharded) restoreShards(r io.Reader) error {
+// differently would assign keys to the wrong shards. Each frame is copied
+// as it arrives rather than preallocated from its declared length, so a
+// corrupt length costs only the bytes actually present.
+func (s MergeableSharded) Restore(r io.Reader) error {
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -518,7 +418,7 @@ func (s *Sharded) restoreShards(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("sketch: sharded snapshot shard count: %w", err)
 	}
-	if int(n) != len(s.shards) {
+	if n != uint64(len(s.shards)) {
 		return fmt.Errorf("%w: snapshot has %d shards, sketch built with %d", ErrSnapshotMismatch, n, len(s.shards))
 	}
 	seed, err := binary.ReadUvarint(br)
@@ -528,6 +428,7 @@ func (s *Sharded) restoreShards(r io.Reader) error {
 	if seed != s.seed {
 		return fmt.Errorf("%w: snapshot routing seed %d, sketch built with %d", ErrSnapshotMismatch, seed, s.seed)
 	}
+	var payload bytes.Buffer
 	for i, sh := range s.shards {
 		sn, ok := sh.(Snapshotter)
 		if !ok {
@@ -540,12 +441,12 @@ func (s *Sharded) restoreShards(r io.Reader) error {
 		if size > 1<<31 {
 			return fmt.Errorf("sketch: implausible shard %d snapshot length %d", i, size)
 		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(br, payload); err != nil {
+		payload.Reset()
+		if _, err := io.CopyN(&payload, br, int64(size)); err != nil {
 			return fmt.Errorf("sketch: shard %d snapshot payload: %w", i, err)
 		}
 		s.mus[i].Lock()
-		err = sn.Restore(bytes.NewReader(payload))
+		err = sn.Restore(&payload)
 		s.mus[i].Unlock()
 		if err != nil {
 			return fmt.Errorf("sketch: restoring shard %d of %s: %w", i, s.name, err)
@@ -553,6 +454,23 @@ func (s *Sharded) restoreShards(r io.Reader) error {
 	}
 	return nil
 }
+
+// CertifiedSharded is the fan-out of a variant that certifies its errors,
+// reports heavy hitters, merges and snapshots (sharded Ours/Ours(Raw)/SS).
+type CertifiedSharded struct{ MergeableSharded }
+
+// QueryWithError reads the certified interval from the owning shard: each
+// key is owned by exactly one shard, so the owning shard's certified
+// interval IS the sharded sketch's — no composition needed.
+func (s CertifiedSharded) QueryWithError(key uint64) (est, mpe uint64) {
+	i := s.shard(key)
+	s.mus[i].Lock()
+	defer s.mus[i].Unlock()
+	return s.shards[i].(ErrorBounded).QueryWithError(key)
+}
+
+// Tracked concatenates the shards' tracked keys.
+func (s CertifiedSharded) Tracked() []KV { return s.tracked() }
 
 // MemoryBytes sums the shards' accounted memory.
 func (s *Sharded) MemoryBytes() int {

@@ -1,6 +1,8 @@
 package sketch
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -74,5 +76,30 @@ func TestShardedAccounting(t *testing.T) {
 	s1.Insert(1, 1)
 	if s1.Query(1) != 1 {
 		t.Error("single-shard fallback broken")
+	}
+}
+
+func TestWrapPanicsOnUnbuiltCapabilitySet(t *testing.T) {
+	// Only the capability sets the registry builds have a sharded wrapper;
+	// any other must fail loudly rather than build a sketch whose
+	// interfaces disagree with its declaration.
+	for _, caps := range []Capability{
+		CapErrorBounded,
+		CapMergeable,
+		CapHeavyHitter | CapMergeable,
+		CapErrorBounded | CapMergeable | CapSnapshottable,
+	} {
+		t.Run(caps.String(), func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("wrap(%s) built a sketch", caps)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, caps.String()) {
+					t.Errorf("panic %q does not name the capability set %s", msg, caps)
+				}
+			}()
+			NewSharded(testFactory(), 4096, 4, 1).wrap(caps | CapResettable)
+		})
 	}
 }

@@ -12,8 +12,9 @@ package sketch
 // algorithm (ReliableSketch, CM, CU, Elastic, SpaceSaving, ...).
 //
 // Implementations are single-writer: Insert must not be called concurrently.
-// This mirrors the hardware pipelines the paper targets; use Sharded for a
-// goroutine-safe fan-out.
+// This mirrors the hardware pipelines the paper targets; build with
+// Spec.Shards > 1 for a goroutine-safe Sharded fan-out, wrapped to match
+// the variant's registered capabilities.
 type Sketch interface {
 	// Insert adds value to the sum of key. value is typically 1 (frequency
 	// estimation) but may be any positive amount (e.g. packet bytes).

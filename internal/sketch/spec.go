@@ -35,9 +35,13 @@ type Spec struct {
 	Emergency bool
 	// Shards > 1 wraps the sketch in a Sharded fan-out of that many
 	// hash-partitioned sub-sketches sharing the memory budget, for
-	// concurrent ingestion. Tracked and Reset delegate to the shards, and
-	// error-bounded variants keep QueryWithError (each key's certificate
-	// comes from its owning shard).
+	// concurrent ingestion. The variant's registered capabilities choose
+	// one of three wrappers (TrackedSharded, MergeableSharded,
+	// CertifiedSharded) or the bare Sharded, so the sharded build
+	// implements exactly the interfaces the variant registers (plus
+	// BatchQuerier, which every sharded build has). Each delegates to the
+	// shards; a certified variant's QueryWithError comes from the key's
+	// owning shard.
 	Shards int
 }
 

@@ -393,10 +393,8 @@ type ExecResponse struct {
 	Cached bool `json:"cached"`
 }
 
-func (r ExecResponse) withCached(c bool) any { r.Cached = c; return r }
-
-// cacheable is implemented by response types so a cached copy can be
-// stamped without mutating the stored value.
+// cacheable is implemented by the v1 response types so a cached copy can
+// be stamped without mutating the stored value.
 type cacheable interface{ withCached(bool) any }
 
 // CacheStats is the result cache's counter snapshot as it appears in
@@ -424,10 +422,25 @@ type CheckpointStatus struct {
 // sketch answers a key in a few memory probes, cheaper than a cache round
 // trip per key — so every answer reflects the writes acked before it.
 // Top-k answers cache whole, like v1.
+//
+// The body is read whole, up to maxQueryBody, into a pooled buffer and
+// parsed by decodeQueryBody; the answer is encoded by appendExecResponse
+// into the same buffer. A body over the limit is refused even when its
+// first value ends before the limit.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
-	var req query.Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err := dec.Decode(&req); err != nil {
+	buf := queryBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= 1<<20 {
+			buf.Reset()
+			queryBufs.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxQueryBody)); err != nil {
+		httpError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("reading request: %w", err))
+		return
+	}
+	req, err := decodeQueryBody(buf.Bytes())
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("decoding request: %w", err))
 		return
 	}
@@ -441,28 +454,44 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.batchKeys.Observe(float64(len(req.Keys)))
+	var resp ExecResponse
 	if req.Kind == query.TopK {
-		s.serveCached(w, fmt.Sprintf("x/topk/%d/%d", req.K, req.Window), func(gen uint64) (any, error) {
+		val, hit, ok := s.cached(w, fmt.Sprintf("x/topk/%d/%d", req.K, req.Window), func(gen uint64) (any, error) {
 			ans, err := s.b.Execute(req)
 			if err != nil {
 				return nil, err
 			}
 			ans.Generation = gen
-			return ExecResponse{Answer: ans}, nil
+			return ans, nil
 		})
-		return
+		if !ok {
+			return
+		}
+		resp = ExecResponse{Answer: val.(query.Answer), Cached: hit}
+	} else {
+		// Stamp the generation read before Execute, as cached does for
+		// top-k and the v1 shims, so every response labels its answer alike.
+		gen := s.b.Generation()
+		ans, err := s.b.Execute(req)
+		if err != nil {
+			s.execError(w, err)
+			return
+		}
+		ans.Generation = gen
+		resp = ExecResponse{Answer: ans}
 	}
-	// Stamp the generation read before Execute, as serveCached does for
-	// top-k and the v1 shims, so every response labels its answer alike.
-	gen := s.b.Generation()
-	ans, err := s.b.Execute(req)
-	if err != nil {
-		s.execError(w, err)
-		return
-	}
-	ans.Generation = gen
-	writeJSON(w, http.StatusOK, ExecResponse{Answer: ans})
+	buf.Reset()
+	buf.Write(appendExecResponse(buf.AvailableBuffer(), resp))
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf.Bytes())
 }
+
+// queryBufs recycles /v2/query buffers: a request reads its body into one
+// and then encodes its answer into the same bytes. handleExec keeps none
+// over 1 MiB, so one large body does not pin its buffer. It is apart from
+// ingestBodies, whose far larger bodies would otherwise size it.
+var queryBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	key, err := parseUint(r, "key", true, 0)
@@ -680,21 +709,29 @@ func (s *Server) toResponse(ans query.Answer, gen uint64) QueryResponse {
 	}
 }
 
-// serveCached runs compute through the epoch-aware cache and writes the
-// JSON answer. Sealed-only backends cache immutably per generation; live
-// backends get the short TTL. The generation is read exactly once and
-// passed to compute, so the cache key and the response's generation field
-// always agree even when a window seals mid-request (the answer may then
-// reflect the newer sealed set — still a certified interval — but it is
-// labeled and keyed consistently).
+// serveCached writes a v1 answer, from cached, as JSON.
 func (s *Server) serveCached(w http.ResponseWriter, key string, compute func(gen uint64) (any, error)) {
+	if val, hit, ok := s.cached(w, key, compute); ok {
+		writeJSON(w, http.StatusOK, val.(cacheable).withCached(hit))
+	}
+}
+
+// cached runs compute through the epoch-aware cache, reporting whether the
+// value was a cache hit. Sealed-only backends cache immutably per
+// generation; live backends get the short TTL. The generation is read
+// exactly once and passed to compute, so the cache key and the response's
+// generation field always agree even when a window seals mid-request (the
+// answer may then reflect the newer sealed set — still a certified
+// interval — but it is labeled and keyed consistently). A refusal is
+// answered with the error envelope, and ok is false.
+func (s *Server) cached(w http.ResponseWriter, key string, compute func(gen uint64) (any, error)) (val any, hit, ok bool) {
 	gen := s.b.Generation()
-	val, cached, err := s.cache.Do(key, gen, s.b.Epochal(), func() (any, error) { return compute(gen) })
+	val, hit, err := s.cache.Do(key, gen, s.b.Epochal(), func() (any, error) { return compute(gen) })
 	if err != nil {
 		s.execError(w, err)
-		return
+		return nil, false, false
 	}
-	writeJSON(w, http.StatusOK, val.(cacheable).withCached(cached))
+	return val, hit, true
 }
 
 // execError maps a backend refusal onto the JSON error envelope: requests

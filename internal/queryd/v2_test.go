@@ -224,6 +224,14 @@ func overLimitIngestBody() string {
 	return sb.String()
 }
 
+// overLimitQueryBody is a valid /v2/query body padded with trailing space
+// to one byte over the limit: its first value ends long before the limit,
+// yet the body is refused.
+func overLimitQueryBody() string {
+	const req = `{"kind":"point","keys":[1]}`
+	return req + strings.Repeat(" ", queryd.MaxQueryBody+1-len(req))
+}
+
 // TestJSONErrorEnvelopeEverywhere is the satellite pin: every failure —
 // bad parameters, unknown endpoints, wrong methods, refused capabilities,
 // oversized batches, refused ingest bodies — answers
@@ -255,6 +263,8 @@ func TestJSONErrorEnvelopeEverywhere(t *testing.T) {
 		{"POST", "/v2/query", "{\"kind\":\"nope\"}", http.StatusBadRequest, "bad_request"},
 		{"POST", "/v2/query", "{\"kind\":\"point\"}", http.StatusBadRequest, "bad_request"},
 		{"POST", "/v2/query", string(bigBatch), http.StatusBadRequest, "bad_request"},
+		{"POST", "/v2/query", overLimitQueryBody(), http.StatusBadRequest, "bad_request"},
+		{"POST", "/v2/query", `{"kind":"point","keys":[1.5]}`, http.StatusBadRequest, "bad_request"},
 		{"POST", "/v2/ingest", overLimit, http.StatusBadRequest, "bad_request"},
 		{"POST", "/v2/ingest", "", http.StatusBadRequest, "bad_request"},
 		{"POST", "/v2/ingest", `{"items":[{"key":1}`, http.StatusBadRequest, "bad_request"},

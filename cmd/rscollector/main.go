@@ -18,8 +18,8 @@
 //
 // The collector prints periodic ingest statistics to stdout; stop it with
 // SIGINT. Agents may query through their own connections (rsagent -query),
-// and -http additionally serves the rsserve HTTP/JSON query API (cached
-// point/window/top-k queries) off the same collector. -metrics-addr serves
+// and -http additionally serves the rsserve HTTP/JSON query API (/v2/query
+// point, window and top-k batches) off the same collector. -metrics-addr serves
 // GET /metrics (Prometheus text exposition over the collector, its ingest
 // pipeline, and the WAL when attached); -pprof-addr serves net/http/pprof.
 // Both are off unless set and live on their own listeners, away from the
@@ -148,7 +148,7 @@ func main() {
 				log.Fatalf("rscollector: http: %v", err)
 			}
 		}()
-		fmt.Printf("query API on http://%s (/v2/query batches, /v1/point /v1/window /v1/topk /v1/status)\n", *httpAdr)
+		fmt.Printf("query API on http://%s (/v2/query batches, /v1/status)\n", *httpAdr)
 	}
 
 	stop := make(chan os.Signal, 1)

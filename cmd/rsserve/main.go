@@ -1,7 +1,7 @@
 // Command rsserve is the query-serving front end: an HTTP/JSON server
 // answering point queries with certified bounds, heavy-hitter top-k, and
-// sliding-window queries, with an epoch-aware result cache and durable
-// sketch checkpoints.
+// sliding-window queries, with an epoch-aware top-k result cache and
+// durable sketch checkpoints.
 //
 // Standalone mode serves one registry-built sketch ingesting over HTTP:
 //
@@ -18,13 +18,12 @@
 // it: restored certified intervals still contain the pre-restart exact
 // counts, and new traffic stacks on top. Endpoints: /v2/query (typed
 // batches — up to -max-batch keys with per-key certified bounds in one
-// request), /v2/ingest (typed write batches, answered with Ack JSON),
-// /v1/point, /v1/window, /v1/topk, /v1/status, /v1/insert (standalone),
-// /v1/checkpoint, and /metrics (Prometheus text exposition; disable with
-// -metrics=false). -pprof-addr additionally serves net/http/pprof on a
+// request), /v2/ingest (standalone typed write batches, answered with Ack
+// JSON), /v1/status, /v1/checkpoint, and /metrics (Prometheus text
+// exposition; disable with -metrics=false). -pprof-addr additionally serves net/http/pprof on a
 // separate listener.
 //
-// The result cache is sharded and policy-pluggable: -cache-policy picks
+// The top-k result cache is sharded and policy-pluggable: -cache-policy picks
 // lru (default), s3fifo, or tinylfu; -cache-shards spreads lock contention;
 // -cache-swr serves expired live answers while one background flight
 // refreshes them (stale-while-revalidate).

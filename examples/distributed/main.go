@@ -19,6 +19,7 @@ import (
 	"sync"
 
 	"repro/internal/netsum"
+	"repro/internal/query"
 	"repro/internal/sketch"
 	"repro/internal/stream"
 )
@@ -91,14 +92,26 @@ func main() {
 		key       uint64
 		est, real uint64
 	}
-	flows := make([]flow, 0, len(truth))
+	keys := make([]uint64, 0, len(truth))
+	for key := range truth {
+		keys = append(keys, key)
+	}
+	flows := make([]flow, 0, len(keys))
 	violations := 0
-	for key, f := range truth {
-		est, mpe := collector.QueryWithError(key)
-		if f > est || sketch.CertifiedLowerBound(est, mpe) > f {
-			violations++
+	for len(keys) > 0 {
+		batch := keys[:min(len(keys), query.MaxBatchKeys)]
+		keys = keys[len(batch):]
+		ans, err := collector.Execute(query.Request{Kind: query.Point, Keys: batch})
+		if err != nil {
+			log.Fatal(err)
 		}
-		flows = append(flows, flow{key, est, f})
+		for _, e := range ans.PerKey {
+			f := truth[e.Key]
+			if f > e.Upper || e.Lower > f {
+				violations++
+			}
+			flows = append(flows, flow{e.Key, e.Est, f})
+		}
 	}
 	sort.Slice(flows, func(i, j int) bool { return flows[i].est > flows[j].est })
 

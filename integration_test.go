@@ -15,6 +15,7 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/netsum"
 	"repro/internal/packet"
+	"repro/internal/query"
 	"repro/internal/sketch"
 	"repro/internal/stream"
 )
@@ -66,11 +67,22 @@ func TestPacketsToCollector(t *testing.T) {
 		agent.Close()
 	}
 
+	keys := make([]uint64, 0, len(truth))
+	for key := range truth {
+		keys = append(keys, key)
+	}
 	violations := 0
-	for key, f := range truth {
-		est, mpe := collector.QueryWithError(key)
-		if f > est || est-mpe > f {
-			violations++
+	for len(keys) > 0 {
+		batch := keys[:min(len(keys), query.MaxBatchKeys)]
+		keys = keys[len(batch):]
+		ans, err := collector.Execute(query.Request{Kind: query.Point, Keys: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ans.PerKey {
+			if f := truth[e.Key]; f > e.Upper || e.Lower > f {
+				violations++
+			}
 		}
 	}
 	if violations > 0 {

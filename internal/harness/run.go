@@ -85,7 +85,7 @@ func init() {
 		func(o Options) ([]*Table, error) { return one(Fig10(o)) })
 	register("merge", "merged vs single-sketch accuracy on a split stream (Mergeable variants)",
 		func(o Options) ([]*Table, error) { return one(MergeAccuracy(o)) })
-	register("serve", "query-serving cache hit rate and latency under concurrent load",
+	register("serve", "/v2/query serving latency and key throughput under concurrent load",
 		func(o Options) ([]*Table, error) {
 			t, err := ServeLoad(o)
 			if err != nil {

@@ -15,7 +15,7 @@
 //
 // The same Batch/Ack pair flows end to end — sketch-level AsyncIngester,
 // epoch.Ring landing (ForRing), the netsum collector's shared pipeline, and
-// queryd's /v1/insert and /v2/ingest HTTP endpoints — so write-side
+// queryd's /v2/ingest HTTP endpoint — so write-side
 // machinery (routing, backpressure, the read-your-writes barrier) is built
 // once instead of per layer.
 package ingest

@@ -129,87 +129,6 @@ func (a *Agent) QueryBatch(keys []uint64) ([]query.Estimate, error) {
 	return ans.PerKey, nil
 }
 
-// Query flushes pending updates and asks the collector for key's global
-// certified estimate. It speaks the v1 single-key frame — the compat path
-// old agents use — so it works against collectors of any version; batch
-// work should go through Execute.
-func (a *Agent) Query(key uint64) (est, mpe uint64, err error) {
-	if err := a.Flush(); err != nil {
-		return 0, 0, err
-	}
-	if err := writeFrame(a.bw, msgQuery, appendUvarints(nil, key)); err != nil {
-		return 0, 0, err
-	}
-	if err := a.bw.Flush(); err != nil {
-		return 0, 0, err
-	}
-	typ, payload, err := readFrame(a.br)
-	if err != nil {
-		return 0, 0, err
-	}
-	if typ != msgQueryResp {
-		return 0, 0, fmt.Errorf("netsum: expected query response, got type %d", typ)
-	}
-	u := &uvarintReader{buf: payload}
-	gotKey, err := u.next()
-	if err != nil {
-		return 0, 0, err
-	}
-	if gotKey != key {
-		return 0, 0, fmt.Errorf("netsum: response for key %d, asked %d", gotKey, key)
-	}
-	if est, err = u.next(); err != nil {
-		return 0, 0, err
-	}
-	if mpe, err = u.next(); err != nil {
-		return 0, 0, err
-	}
-	return est, mpe, nil
-}
-
-// QueryWindow flushes pending updates and asks the collector for key's
-// global certified estimate over the last n sealed epochs. covered reports
-// the widest epoch span any agent's ring actually answered for (0 when the
-// collector runs cumulative, non-epoch measurement — the answer then
-// degenerates to the all-time global interval).
-func (a *Agent) QueryWindow(key uint64, n int) (est, mpe uint64, covered int, err error) {
-	if err := a.Flush(); err != nil {
-		return 0, 0, 0, err
-	}
-	if err := writeFrame(a.bw, msgWindowQuery, appendUvarints(nil, key, uint64(n))); err != nil {
-		return 0, 0, 0, err
-	}
-	if err := a.bw.Flush(); err != nil {
-		return 0, 0, 0, err
-	}
-	typ, payload, err := readFrame(a.br)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if typ != msgWindowResp {
-		return 0, 0, 0, fmt.Errorf("netsum: expected window response, got type %d", typ)
-	}
-	u := &uvarintReader{buf: payload}
-	gotKey, err := u.next()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if gotKey != key {
-		return 0, 0, 0, fmt.Errorf("netsum: window response for key %d, asked %d", gotKey, key)
-	}
-	cov, err := u.next()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if est, err = u.next(); err != nil {
-		return 0, 0, 0, err
-	}
-	if mpe, err = u.next(); err != nil {
-		return 0, 0, 0, err
-	}
-	return est, mpe, int(cov), nil
-}
-
 // Stats flushes and fetches collector-side statistics.
 func (a *Agent) Stats() (agents int, updates, queries uint64, err error) {
 	if err := a.Flush(); err != nil {

@@ -438,42 +438,6 @@ func (c *Collector) handle(conn net.Conn) error {
 				return fmt.Errorf("netsum: wal append: %w", err)
 			}
 
-		case msgQuery:
-			u := &uvarintReader{buf: payload}
-			key, err := u.next()
-			if err != nil {
-				return err
-			}
-			// The v1 frame has no refusal encoding, so a pipeline failure
-			// (acked items lost — the bounds cannot cover them) drops the
-			// connection instead of serving a false certificate, exactly
-			// as the old synchronous path did on ingest errors.
-			if err := c.drainIngest(); err != nil {
-				return err
-			}
-			est, mpe := c.QueryWithError(key)
-			if err := reply(msgQueryResp, appendUvarints(nil, key, est, mpe)); err != nil {
-				return err
-			}
-
-		case msgWindowQuery:
-			u := &uvarintReader{buf: payload}
-			key, err := u.next()
-			if err != nil {
-				return err
-			}
-			n, err := u.next()
-			if err != nil {
-				return err
-			}
-			if err := c.drainIngest(); err != nil {
-				return err // no v1 refusal encoding; see msgQuery
-			}
-			est, mpe, covered := c.QueryWindowWithError(key, int(n))
-			if err := reply(msgWindowResp, appendUvarints(nil, key, uint64(covered), est, mpe)); err != nil {
-				return err
-			}
-
 		case msgExecQuery:
 			req, err := decodeRequest(payload)
 			if err != nil {
@@ -498,6 +462,9 @@ func (c *Collector) handle(conn net.Conn) error {
 			if err := reply(msgStatsResp, appendUvarints(nil, uint64(agents), updates, queries)); err != nil {
 				return err
 			}
+
+		case msgQuery, msgWindowQuery:
+			return fmt.Errorf("%w (frame type %d)", ErrV1Query, typ)
 
 		default:
 			return fmt.Errorf("netsum: unknown message type %d", typ)
@@ -622,44 +589,6 @@ func (c *Collector) RestoreBaseline(r io.Reader) error {
 		}
 	}
 	return nil
-}
-
-// QueryWithError answers a global query with a certified interval:
-// truth ∈ [est − mpe, est]. With the merged view enabled the answer is the
-// intersection of the merged sketch's interval and the estimate-sum
-// interval — both are certified for the same truth, so the intersection is
-// too, and it is by construction never looser than estimate-summing alone.
-// In epoch mode "global" means the union of every agent's retained
-// sliding window. A thin shim over the batch core (queryGlobalBatch), so
-// single-key and batch answers cannot diverge.
-func (c *Collector) QueryWithError(key uint64) (est, mpe uint64) {
-	// No error channel on this v1 shim: a pipeline failure is logged by
-	// drainIngest and keeps surfacing on every Execute/snapshot path.
-	_ = c.drainIngest()
-	c.queries.Add(1)
-	keys := [1]uint64{key}
-	var e, m [1]uint64
-	c.queryGlobalBatch(keys[:], 0, e[:], m[:])
-	return e[0], m[0]
-}
-
-// QueryWindowWithError answers a global sliding-window query over the last
-// n sealed epochs, summing per-agent certified window answers. covered is
-// the widest epoch span any agent actually answered for (0 when the
-// collector is not in epoch mode or nothing is sealed yet; in cumulative
-// mode the answer degenerates to the all-time global interval). A thin
-// shim over the batch core.
-func (c *Collector) QueryWindowWithError(key uint64, n int) (est, mpe uint64, covered int) {
-	_ = c.drainIngest() // v1 shim, no error channel; see QueryWithError
-	c.queries.Add(1)
-	keys := [1]uint64{key}
-	var e, m [1]uint64
-	if c.cfg.Epoch <= 0 {
-		c.queryGlobalBatch(keys[:], 0, e[:], m[:])
-		return e[0], m[0], 0
-	}
-	covered = c.estimateSumBatch(keys[:], n, e[:], m[:])
-	return e[0], m[0], covered
 }
 
 // intersectIntervals combines two certified intervals for the same truth:
@@ -791,37 +720,8 @@ func (c *Collector) TrackedGlobal() ([]sketch.KV, error) {
 // collector-side refusals with errors.Is.
 var ErrUnknownAgent = errors.New("netsum: unknown agent")
 
-// QueryAgentWindow answers a sliding-window query against one agent's
-// epoch ring: key's certified interval over the agent's last n sealed
-// epochs. covered is the epoch span actually answered for (0 when nothing
-// is sealed yet); n beyond the ring's retention is clamped, mirroring the
-// global window query. Errors name the misuse: the collector not in epoch
-// mode, a window that cannot cover a single epoch, or an agent the
-// collector has never seen.
-func (c *Collector) QueryAgentWindow(agentID, key uint64, n int) (est, mpe uint64, covered int, err error) {
-	if c.cfg.Epoch <= 0 {
-		return 0, 0, 0, errors.New("netsum: agent window queries need epoch mode (CollectorConfig.Epoch > 0)")
-	}
-	if n < 1 {
-		return 0, 0, 0, fmt.Errorf("netsum: window of %d epochs cannot cover anything", n)
-	}
-	if err := c.drainIngest(); err != nil {
-		return 0, 0, 0, err
-	}
-	c.mu.Lock()
-	st, ok := c.agents[agentID]
-	c.mu.Unlock()
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("%w %d", ErrUnknownAgent, agentID)
-	}
-	c.queries.Add(1)
-	e, m, answered := st.ring.QueryWindowWithError(key, n)
-	if !answered {
-		return 0, 0, 0, nil
-	}
-	covered = st.ring.Sealed()
-	if covered > n {
-		covered = n
-	}
-	return e, m, covered, nil
-}
+// ErrV1Query names why the collector closed a connection that sent a v1
+// single-key query frame (msgQuery or msgWindowQuery): those frames are no
+// longer served, and their reply frames cannot carry a refusal. Agents ask
+// through msgExecQuery instead.
+var ErrV1Query = errors.New("netsum: v1 single-key query frames are not served; send msgExecQuery")

@@ -3,8 +3,11 @@ package netsum
 import (
 	"bufio"
 	"errors"
+	"fmt"
+	"math"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/query"
@@ -12,9 +15,9 @@ import (
 	"repro/internal/stream"
 )
 
-// TestExecuteBatchMatchesSingleKey pins the batch wire surface to the
-// single-key one: a 256-key Execute over the network must answer exactly
-// what per-key QueryWithError does against the same collector state.
+// TestExecuteBatchMatchesSingleKey pins batching itself: a 256-key
+// Execute over the network must answer exactly what 256 one-key Executes
+// answer against the same collector state.
 func TestExecuteBatchMatchesSingleKey(t *testing.T) {
 	c, err := NewCollector("127.0.0.1:0", CollectorConfig{
 		Spec: sketch.Spec{Lambda: 25, MemoryBytes: 256 << 10, Seed: 1},
@@ -53,11 +56,10 @@ func TestExecuteBatchMatchesSingleKey(t *testing.T) {
 	}
 	truth := s.Truth()
 	for i, k := range keys {
-		est, mpe := c.QueryWithError(k)
+		one := agentPoint(t, a, k)
 		pk := ans.PerKey[i]
-		if pk.Key != k || pk.Est != est || pk.Upper != est ||
-			pk.Lower != sketch.CertifiedLowerBound(est, mpe) {
-			t.Fatalf("key %d: wire batch %+v != direct (%d,%d)", k, pk, est, mpe)
+		if pk != one || pk.Key != k {
+			t.Fatalf("key %d: batch answer %+v != one-key answer %+v", k, pk, one)
 		}
 		if f := truth[k]; f > pk.Upper || pk.Lower > f {
 			t.Fatalf("key %d: truth %d outside [%d,%d]", k, f, pk.Lower, pk.Upper)
@@ -137,11 +139,19 @@ func TestExecuteTopKOverWire(t *testing.T) {
 }
 
 // TestV1AgentBackCompat simulates an old (protocol v1) agent speaking raw
-// frames — hello without a version, then the single-key v1 query — against
-// a current collector. The version bump must not strand deployed agents.
+// frames against a current collector: its hello (no version field) and
+// batch still land, while its single-key query frame closes the
+// connection with ErrV1Query instead of being answered.
 func TestV1AgentBackCompat(t *testing.T) {
+	var mu sync.Mutex
+	var logged []string
 	c, err := NewCollector("127.0.0.1:0", CollectorConfig{
 		Spec: sketch.Spec{Lambda: 25, MemoryBytes: 64 << 10, Seed: 1},
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,26 +179,83 @@ func TestV1AgentBackCompat(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(br)
-	if err != nil {
-		t.Fatal(err)
+	if typ, _, err := readFrame(br); err == nil {
+		t.Fatalf("v1 query answered with frame type %d, want the connection closed", typ)
 	}
-	if typ != msgQueryResp {
-		t.Fatalf("v1 query answered with frame type %d", typ)
+	// The frames before the query landed, attributed to agent 42.
+	if e := collectorPoint(t, c, 5); e.Upper < 123 || e.Lower > 123 {
+		t.Errorf("v1 batch: interval [%d,%d] misses exact 123", e.Lower, e.Upper)
 	}
-	u := &uvarintReader{buf: payload}
-	gotKey, _ := u.next()
-	est, _ := u.next()
-	mpe, _ := u.next()
-	if gotKey != 5 || est < 123 || sketch.CertifiedLowerBound(est, mpe) > 123 {
-		t.Errorf("v1 answer key=%d [%d,%d] misses exact 123",
-			gotKey, sketch.CertifiedLowerBound(est, mpe), est)
+	if agents, updates, _ := c.Stats(); agents != 1 || updates != 1 {
+		t.Errorf("after v1 hello+batch: %d agents, %d updates; want 1, 1", agents, updates)
+	}
+	// Close waits for the connection handler, so its error is logged by now.
+	c.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	if !strings.Contains(strings.Join(logged, "\n"), ErrV1Query.Error()) {
+		t.Errorf("collector log %q does not name ErrV1Query", logged)
 	}
 }
 
+// TestFrameTypeValues pins every message type's wire byte: retired types
+// stay reserved so that the types after them keep their numbers.
+func TestFrameTypeValues(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		got  byte
+		want byte
+	}{
+		{"msgHello", msgHello, 1},
+		{"msgBatch", msgBatch, 2},
+		{"msgQuery", msgQuery, 3},
+		{"msgQueryResp", msgQueryResp, 4},
+		{"msgStats", msgStats, 5},
+		{"msgStatsResp", msgStatsResp, 6},
+		{"msgWindowQuery", msgWindowQuery, 7},
+		{"msgWindowResp", msgWindowResp, 8},
+		{"msgExecQuery", msgExecQuery, 9},
+		{"msgExecResp", msgExecResp, 10},
+		{"msgExecErr", msgExecErr, 11},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %d, want %d", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
+// TestDecodeRequestRefusesTruncatingValues: a kind above 255, or a window
+// or k above math.MaxInt, would change value in its conversion; the
+// decoder refuses them rather than answer a different request.
+func TestDecodeRequestRefusesTruncatingValues(t *testing.T) {
+	for name, payload := range map[string][]byte{
+		// Kind 257 truncates to 1, query.Point.
+		"kind 257": appendUvarints(nil, 257, 0, 0, 0, 1, 7),
+		"window":   appendUvarints(nil, uint64(query.Window), 0, math.MaxInt+1, 0, 1, 7),
+		"k":        appendUvarints(nil, uint64(query.TopK), 0, 0, math.MaxUint64, 0),
+	} {
+		if req, err := decodeRequest(payload); !errors.Is(err, errMalformedRequest) {
+			t.Errorf("%s: decoded %+v, err=%v; want errMalformedRequest", name, req, err)
+		}
+	}
+}
+
+// roundTripRequest and roundTripAnswer are the wire codec's reference
+// cases; they also seed FuzzDecodeRequest and FuzzDecodeAnswer.
+var (
+	roundTripRequest = query.Request{Kind: query.Window, Keys: []uint64{1, 9, 9, 1 << 50}, Window: 7, Agent: 3}
+	roundTripAnswer  = query.Answer{
+		PerKey:     []query.Estimate{{Key: 9, Est: 100, Lower: 80, Upper: 100}},
+		Coverage:   4,
+		Generation: 12,
+		Source:     "collector+merged",
+		Certified:  true,
+	}
+)
+
 // TestRequestAnswerRoundTrip pins the wire codec itself.
 func TestRequestAnswerRoundTrip(t *testing.T) {
-	req := query.Request{Kind: query.Window, Keys: []uint64{1, 9, 9, 1 << 50}, Window: 7, Agent: 3}
+	req := roundTripRequest
 	got, err := decodeRequest(encodeRequest(req))
 	if err != nil {
 		t.Fatal(err)
@@ -197,13 +264,7 @@ func TestRequestAnswerRoundTrip(t *testing.T) {
 		len(got.Keys) != len(req.Keys) || got.Keys[3] != req.Keys[3] {
 		t.Errorf("request round trip: got %+v, want %+v", got, req)
 	}
-	ans := query.Answer{
-		PerKey:     []query.Estimate{{Key: 9, Est: 100, Lower: 80, Upper: 100}},
-		Coverage:   4,
-		Generation: 12,
-		Source:     "collector+merged",
-		Certified:  true,
-	}
+	ans := roundTripAnswer
 	back, err := decodeAnswer(encodeAnswer(ans))
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ingest"
+	"repro/internal/query"
 	"repro/internal/sketch"
 	"repro/internal/telemetry"
 )
@@ -48,14 +49,10 @@ func TestCollectorPipelineStats(t *testing.T) {
 		// Query through the same connection: the collector must drain the
 		// pipeline before answering, so the interval covers every update
 		// this agent was acked for (frames are processed in order).
-		est, mpe, err := a.Query(42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lo := sketch.CertifiedLowerBound(est, mpe)
+		e := agentPoint(t, a, 42)
 		want := uint64(perAgent) * 2 * id
-		if want < lo || want > est {
-			t.Fatalf("after agent %d: interval [%d, %d] misses exact %d", id, lo, est, want)
+		if want < e.Lower || want > e.Upper {
+			t.Fatalf("after agent %d: interval [%d, %d] misses exact %d", id, e.Lower, e.Upper, want)
 		}
 		a.Close()
 	}
@@ -102,12 +99,8 @@ func TestAgentZeroAttributed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	est, mpe, err := a.Query(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo := sketch.CertifiedLowerBound(est, mpe); lo > 300 || est < 300 {
-		t.Fatalf("agent 0 traffic lost: interval [%d, %d] misses 300", lo, est)
+	if e := agentPoint(t, a, 5); e.Lower > 300 || e.Upper < 300 {
+		t.Fatalf("agent 0 traffic lost: interval [%d, %d] misses 300", e.Lower, e.Upper)
 	}
 	if agents, _, _ := c.Stats(); agents != 1 {
 		t.Fatalf("agent 0 not registered: %d agents", agents)
@@ -118,7 +111,7 @@ func TestAgentZeroAttributed(t *testing.T) {
 		t.Fatal(err) // hello is written; the refusal surfaces on first read
 	}
 	defer reserved.Close()
-	if _, _, err := reserved.Query(1); err == nil {
+	if _, err := reserved.Execute(query.Request{Kind: query.Point, Keys: []uint64{1}}); err == nil {
 		t.Fatal("reserved agent id accepted")
 	}
 }
@@ -153,9 +146,7 @@ func TestCollectorRegisterMetrics(t *testing.T) {
 		if err := a.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := a.Query(1); err != nil {
-			t.Fatal(err)
-		}
+		agentPoint(t, a, 1)
 		a.Close()
 	}
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/query"
 	"repro/internal/sketch"
 	"repro/internal/stream"
 )
@@ -84,12 +85,8 @@ func TestSingleAgentEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	est, mpe, err := a.Query(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est < 1000 || est-mpe > 1000 {
-		t.Errorf("truth 1000 outside certified [%d, %d]", est-mpe, est)
+	if e := agentPoint(t, a, 42); e.Upper < 1000 || e.Lower > 1000 {
+		t.Errorf("truth 1000 outside certified [%d, %d]", e.Lower, e.Upper)
 	}
 }
 
@@ -123,10 +120,9 @@ func TestMultiAgentGlobalSums(t *testing.T) {
 	}
 	wg.Wait()
 
-	est, mpe := c.QueryWithError(7)
 	const truth = agents * perAgent
-	if est < truth || est-mpe > truth {
-		t.Errorf("global truth %d outside certified [%d, %d]", truth, est-mpe, est)
+	if e := collectorPoint(t, c, 7); e.Upper < truth || e.Lower > truth {
+		t.Errorf("global truth %d outside certified [%d, %d]", truth, e.Lower, e.Upper)
 	}
 	nAgents, updates, _ := c.Stats()
 	if nAgents != agents {
@@ -169,8 +165,7 @@ func TestRealisticWorkloadCertifiedGlobally(t *testing.T) {
 	violations := 0
 	checked := 0
 	for key, f := range s.Truth() {
-		est, mpe := c.QueryWithError(key)
-		if f > est || est-mpe > f {
+		if e := collectorPoint(t, c, key); f > e.Upper || e.Lower > f {
 			violations++
 		}
 		checked++
@@ -217,6 +212,30 @@ func feedAgents(t *testing.T, c *Collector, s *stream.Stream, agents int) {
 	c.drainIngest()
 }
 
+// agentPoint asks the collector for key's global interval over a's own
+// connection, so the answer covers every update a was acked for.
+func agentPoint(t *testing.T, a *Agent, key uint64) query.Estimate {
+	t.Helper()
+	ans, err := a.Execute(query.Request{Kind: query.Point, Keys: []uint64{key}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ans.PerKey[0]
+}
+
+// collectorPoint answers key's global interval through Collector.Execute.
+func collectorPoint(t *testing.T, c *Collector, key uint64) query.Estimate {
+	t.Helper()
+	ans, err := c.Execute(query.Request{Kind: query.Point, Keys: []uint64{key}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ans.Certified {
+		t.Fatalf("key %d: collector answer not certified", key)
+	}
+	return ans.PerKey[0]
+}
+
 // estimateSum reads one key's estimate-sum composition through the batch
 // core, for comparing against the merged-view intersection.
 func estimateSum(c *Collector, key uint64) (est, mpe uint64) {
@@ -249,11 +268,11 @@ func TestMergedViewNoLooserThanEstimateSum(t *testing.T) {
 	looser, violations, checked := 0, 0, 0
 	for key, f := range s.Truth() {
 		sumEst, sumMpe := estimateSum(c, key)
-		est, mpe := c.QueryWithError(key)
-		if f > est || sketch.CertifiedLowerBound(est, mpe) > f {
+		e := collectorPoint(t, c, key)
+		if f > e.Upper || e.Lower > f {
 			violations++
 		}
-		if mpe > sumMpe || est > sumEst {
+		if e.Lower < sketch.CertifiedLowerBound(sumEst, sumMpe) || e.Upper > sumEst {
 			looser++
 		}
 		if checked++; checked >= 2_000 {
@@ -288,13 +307,13 @@ func TestEstimateSumFallback(t *testing.T) {
 	checked := 0
 	for key, f := range s.Truth() {
 		sumEst, sumMpe := estimateSum(c, key)
-		est, mpe := c.QueryWithError(key)
-		if est != sumEst || mpe != sumMpe {
-			t.Fatalf("fallback answer (%d,%d) differs from estimate-sum (%d,%d)", est, mpe, sumEst, sumMpe)
+		sumLower := sketch.CertifiedLowerBound(sumEst, sumMpe)
+		e := collectorPoint(t, c, key)
+		if e.Upper != sumEst || e.Lower != sumLower {
+			t.Fatalf("fallback answer [%d,%d] differs from estimate-sum [%d,%d]", e.Lower, e.Upper, sumLower, sumEst)
 		}
-		if f > est || sketch.CertifiedLowerBound(est, mpe) > f {
-			t.Fatalf("truth %d outside fallback interval [%d,%d]",
-				f, sketch.CertifiedLowerBound(est, mpe), est)
+		if f > e.Upper || e.Lower > f {
+			t.Fatalf("truth %d outside fallback interval [%d,%d]", f, e.Lower, e.Upper)
 		}
 		if checked++; checked >= 500 {
 			break
@@ -349,34 +368,21 @@ func TestWindowQueryOverNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	est, mpe, covered, err := a.QueryWindow(7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if covered != 1 {
-		t.Errorf("covered=%d want 1", covered)
-	}
-	if est < 40 || sketch.CertifiedLowerBound(est, mpe) > 40 {
-		t.Errorf("1-epoch window: truth 40 outside [%d,%d]", sketch.CertifiedLowerBound(est, mpe), est)
-	}
-	est, mpe, covered, err = a.QueryWindow(7, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if covered != 2 {
-		t.Errorf("covered=%d want 2", covered)
-	}
-	if est < 140 || sketch.CertifiedLowerBound(est, mpe) > 140 {
-		t.Errorf("2-epoch window: truth 140 outside [%d,%d]", sketch.CertifiedLowerBound(est, mpe), est)
+	for _, tc := range []struct{ n, truth int }{{1, 40}, {2, 140}} {
+		ans, err := a.Execute(query.Request{Kind: query.Window, Keys: []uint64{7}, Window: tc.n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.Coverage != tc.n {
+			t.Errorf("%d-epoch window: covered=%d", tc.n, ans.Coverage)
+		}
+		if e := ans.PerKey[0]; e.Upper < uint64(tc.truth) || e.Lower > uint64(tc.truth) {
+			t.Errorf("%d-epoch window: truth %d outside [%d,%d]", tc.n, tc.truth, e.Lower, e.Upper)
+		}
 	}
 	// The plain global query in epoch mode covers the retained window.
-	gest, gmpe, err := a.Query(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gest < 140 || sketch.CertifiedLowerBound(gest, gmpe) > 140 {
-		t.Errorf("epoch-mode global query: truth 140 outside [%d,%d]",
-			sketch.CertifiedLowerBound(gest, gmpe), gest)
+	if e := agentPoint(t, a, 7); e.Upper < 140 || e.Lower > 140 {
+		t.Errorf("epoch-mode global query: truth 140 outside [%d,%d]", e.Lower, e.Upper)
 	}
 }
 
@@ -406,12 +412,8 @@ func TestQueryOverNetwork(t *testing.T) {
 	}
 	defer a.Close()
 	a.Record(5, 123)
-	est, mpe, err := a.Query(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est < 123 || est-mpe > 123 {
-		t.Errorf("certified interval [%d,%d] misses 123", est-mpe, est)
+	if e := agentPoint(t, a, 5); e.Upper < 123 || e.Lower > 123 {
+		t.Errorf("certified interval [%d,%d] misses 123", e.Lower, e.Upper)
 	}
 	nAgents, updates, queries, err := a.Stats()
 	if err != nil {

@@ -19,8 +19,10 @@ package netsum
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/query"
 	"repro/internal/stream"
@@ -31,14 +33,18 @@ import (
 // msgExecErr) carrying whole query.Request/query.Answer batches in one
 // round trip, and extended msgHello with the agent's version.
 //
-// Compatibility rule: collectors accept agents of any older version — v1
-// agents never send exec frames and ignore the hello extension, so every
-// frame they produce still decodes — but a v2 agent's batch queries need a
-// v2 collector (an old collector drops the connection on the unknown
-// frame type).
+// Compatibility rule: a v1 agent's hello and batch frames still land on a
+// current collector (its hello simply lacks the version, which the
+// collector treats as optional), so v1 agents keep reporting. Their
+// single-key query frames (msgQuery, msgWindowQuery) are no longer served:
+// the collector closes the connection with ErrV1Query. Queries go through
+// msgExecQuery, which needs a v2 collector (an old collector drops the
+// connection on the unknown frame type). Agents of this package send only
+// frames a v2 collector serves, so the version stays 2.
 const ProtocolVersion = 2
 
-// Message types.
+// Message types. The values are wire bytes: a retired type keeps its
+// constant, reserved, so the later types keep their numbers.
 const (
 	// msgHello announces an agent: payload is agentID uvarint, optionally
 	// followed by the agent's protocol version (absent = version 1; the
@@ -48,18 +54,19 @@ const (
 	// msgBatch carries updates: uvarint count, then count × (key, value)
 	// uvarint pairs.
 	msgBatch
-	// msgQuery asks for a key's global sum: payload is the key.
+	// msgQuery is the v1 single-key query (payload: the key). Reserved:
+	// the collector refuses it with ErrV1Query.
 	msgQuery
-	// msgQueryResp answers: key, estimate, MPE.
+	// msgQueryResp was msgQuery's answer. Reserved, never sent.
 	msgQueryResp
 	// msgStats asks for collector statistics.
 	msgStats
 	// msgStatsResp answers: agents, updates, queries.
 	msgStatsResp
-	// msgWindowQuery asks for a key's global sum over the last n sealed
-	// epochs (epoch-mode collectors): payload is key, then n.
+	// msgWindowQuery is the v1 single-key window query (payload: key, n).
+	// Reserved: the collector refuses it with ErrV1Query.
 	msgWindowQuery
-	// msgWindowResp answers: key, epochs actually covered, estimate, MPE.
+	// msgWindowResp was msgWindowQuery's answer. Reserved, never sent.
 	msgWindowResp
 	// msgExecQuery (v2) carries one typed query.Request: kind, agent,
 	// window, k, key count, then the packed keys — N point or window
@@ -154,14 +161,23 @@ func encodeRequest(req query.Request) []byte {
 	return appendUvarints(payload, req.Keys...)
 }
 
+// errMalformedRequest marks a msgExecQuery payload whose fields do not fit
+// query.Request: a kind above 255, or a window or k above math.MaxInt.
+var errMalformedRequest = errors.New("netsum: malformed exec request")
+
 // decodeRequest unpacks a msgExecQuery payload. Validation is the
-// executor's job — the wire layer only guards against malformed framing.
+// executor's job — the wire layer only guards against malformed framing
+// and refuses values its conversions would truncate, so no malformed
+// request is answered as a different, valid one.
 func decodeRequest(payload []byte) (query.Request, error) {
 	u := &uvarintReader{buf: payload}
 	var req query.Request
 	kind, err := u.next()
 	if err != nil {
 		return req, err
+	}
+	if kind > math.MaxUint8 {
+		return req, fmt.Errorf("%w: kind %d", errMalformedRequest, kind)
 	}
 	req.Kind = query.Kind(kind)
 	if req.Agent, err = u.next(); err != nil {
@@ -171,10 +187,16 @@ func decodeRequest(payload []byte) (query.Request, error) {
 	if err != nil {
 		return req, err
 	}
+	if window > math.MaxInt {
+		return req, fmt.Errorf("%w: window %d", errMalformedRequest, window)
+	}
 	req.Window = int(window)
 	k, err := u.next()
 	if err != nil {
 		return req, err
+	}
+	if k > math.MaxInt {
+		return req, fmt.Errorf("%w: k %d", errMalformedRequest, k)
 	}
 	req.K = int(k)
 	count, err := u.next()
@@ -226,6 +248,9 @@ func decodeAnswer(payload []byte) (query.Answer, error) {
 	coverage, err := u.next()
 	if err != nil {
 		return ans, err
+	}
+	if coverage > math.MaxInt {
+		return ans, fmt.Errorf("netsum: answer coverage %d out of range", coverage)
 	}
 	ans.Coverage = int(coverage)
 	if ans.Generation, err = u.next(); err != nil {

@@ -66,9 +66,7 @@ func record(t *testing.T, c *Collector, agentID, key uint64, n int) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := a.Query(key); err != nil {
-		t.Fatal(err)
-	}
+	agentPoint(t, a, key)
 }
 
 func TestCollectorWALReplayRestoresCounts(t *testing.T) {
@@ -88,11 +86,10 @@ func TestCollectorWALReplayRestoresCounts(t *testing.T) {
 	if got := l2.Stats().Replayed; got == 0 {
 		t.Fatal("restarted collector replayed nothing")
 	}
-	// Attribution survived: the per-agent window shim answers from agent
-	// state rebuilt purely by replay.
-	est, mpe := c2.QueryWithError(42)
-	if est < 1000 || est-mpe > 1000 {
-		t.Errorf("recovered truth 1000 outside certified [%d, %d]", est-mpe, est)
+	// Attribution survived: the global answer sums agent state rebuilt
+	// purely by replay.
+	if e := collectorPoint(t, c2, 42); e.Upper < 1000 || e.Lower > 1000 {
+		t.Errorf("recovered truth 1000 outside certified [%d, %d]", e.Lower, e.Upper)
 	}
 	agents, updates, _ := c2.Stats()
 	if agents != 2 || updates != 1000 {
@@ -140,9 +137,8 @@ func TestCollectorSnapshotCutTruncatesWAL(t *testing.T) {
 		// checkpointed ones did NOT replay again.
 		t.Fatalf("replayed %d records, want only the post-cut tail", replayed)
 	}
-	est, mpe := c2.QueryWithError(42)
-	if est < 1000 || est-mpe > 1000 {
-		t.Errorf("recovered truth 1000 outside certified [%d, %d] (double-replay or lost tail)", est-mpe, est)
+	if e := collectorPoint(t, c2, 42); e.Upper < 1000 || e.Lower > 1000 {
+		t.Errorf("recovered truth 1000 outside certified [%d, %d] (double-replay or lost tail)", e.Lower, e.Upper)
 	}
 }
 

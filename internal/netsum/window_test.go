@@ -2,17 +2,19 @@ package netsum
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/query"
 	"repro/internal/sketch"
 )
 
 // Error-path coverage for the window-query surface: each misuse must be
 // named by a distinct error, not silently answered with zeros.
 
-func TestQueryAgentWindowCumulativeModeRejected(t *testing.T) {
+func TestAgentWindowCumulativeModeRejected(t *testing.T) {
 	c, err := NewCollector("127.0.0.1:0", CollectorConfig{
 		Spec: sketch.Spec{Lambda: 25, MemoryBytes: 64 << 10, Seed: 1},
 	})
@@ -20,13 +22,18 @@ func TestQueryAgentWindowCumulativeModeRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	_, _, _, err = c.QueryAgentWindow(1, 7, 2)
+	_, err = c.Execute(agentWindow(1, 7, 2))
 	if err == nil || !strings.Contains(err.Error(), "epoch mode") {
 		t.Errorf("cumulative-mode agent window query: err=%v, want epoch-mode refusal", err)
 	}
 }
 
-func TestQueryAgentWindowErrorPaths(t *testing.T) {
+// agentWindow is a window request for key over n epochs scoped to agent.
+func agentWindow(agent, key uint64, n int) query.Request {
+	return query.Request{Kind: query.Window, Keys: []uint64{key}, Window: n, Agent: agent}
+}
+
+func TestAgentWindowErrorPaths(t *testing.T) {
 	clk := &fakeNetClock{now: time.Unix(0, 0)}
 	c, err := NewCollector("127.0.0.1:0", CollectorConfig{
 		Spec:         sketch.Spec{Lambda: 25, MemoryBytes: 128 << 10, Seed: 1},
@@ -58,34 +65,33 @@ func TestQueryAgentWindowErrorPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, _, err := c.QueryAgentWindow(12345, 7, 2); err == nil ||
-		!strings.Contains(err.Error(), "unknown agent") {
+	if _, err := c.Execute(agentWindow(12345, 7, 2)); !errors.Is(err, ErrUnknownAgent) {
 		t.Errorf("unknown agent: err=%v", err)
 	}
 	for _, n := range []int{0, -3} {
-		if _, _, _, err := c.QueryAgentWindow(9, 7, n); err == nil {
-			t.Errorf("window n=%d accepted", n)
+		if _, err := c.Execute(agentWindow(9, 7, n)); !errors.Is(err, query.ErrBadWindow) {
+			t.Errorf("window n=%d: err=%v, want ErrBadWindow", n, err)
 		}
 	}
 
 	// Nothing sealed yet: a valid query answers zero coverage, not an error.
-	est, mpe, covered, err := c.QueryAgentWindow(9, 7, 2)
-	if err != nil || covered != 0 || est != 0 || mpe != 0 {
-		t.Errorf("pre-seal window query = (%d,%d,cov=%d,err=%v), want zeros", est, mpe, covered, err)
+	ans, err := c.Execute(agentWindow(9, 7, 2))
+	if e := ans.PerKey; err != nil || ans.Coverage != 0 || e[0].Upper != 0 || e[0].Lower != 0 {
+		t.Errorf("pre-seal window query = (%+v, err=%v), want zeros", ans, err)
 	}
 
 	// Seal one epoch: the 50 updates become queryable, and a window far
 	// wider than the retention clamps instead of failing.
 	clk.Advance(time.Second)
-	est, mpe, covered, err = c.QueryAgentWindow(9, 7, 1000)
+	ans, err = c.Execute(agentWindow(9, 7, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if covered != 1 {
-		t.Errorf("covered = %d, want 1", covered)
+	if ans.Coverage != 1 {
+		t.Errorf("covered = %d, want 1", ans.Coverage)
 	}
-	if est < 50 || est-mpe > 50 {
-		t.Errorf("sealed interval [%d,%d] misses exact count 50", est-mpe, est)
+	if e := ans.PerKey[0]; e.Upper < 50 || e.Lower > 50 {
+		t.Errorf("sealed interval [%d,%d] misses exact count 50", e.Lower, e.Upper)
 	}
 }
 
@@ -121,7 +127,9 @@ func TestCollectorGenerationAdvancesOnSeal(t *testing.T) {
 	before := c.Generation()
 	clk.Advance(time.Second)
 	// Rotation is opportunistic: any query pokes the ring.
-	c.QueryWindowWithError(1, 4)
+	if _, err := c.Execute(query.Request{Kind: query.Window, Keys: []uint64{1}, Window: 4}); err != nil {
+		t.Fatal(err)
+	}
 	if after := c.Generation(); after <= before {
 		t.Errorf("generation %d did not advance past %d after a seal", after, before)
 	}
@@ -179,10 +187,9 @@ func TestCollectorWarmRestart(t *testing.T) {
 		t.Error("second RestoreBaseline accepted; the checkpoint would double-count")
 	}
 	for key, f := range truth {
-		est, mpe := after.QueryWithError(key)
-		if f > est || sketch.CertifiedLowerBound(est, mpe) > f {
+		if e := collectorPoint(t, after, key); f > e.Upper || e.Lower > f {
 			t.Fatalf("key %d: restored interval [%d,%d] misses pre-restart count %d",
-				key, sketch.CertifiedLowerBound(est, mpe), est, f)
+				key, e.Lower, e.Upper, f)
 		}
 	}
 
@@ -204,10 +211,8 @@ func TestCollectorWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := truth[1] + 100
-	est, mpe := after.QueryWithError(1)
-	if want > est || sketch.CertifiedLowerBound(est, mpe) > want {
-		t.Errorf("key 1: interval [%d,%d] misses baseline+new count %d",
-			sketch.CertifiedLowerBound(est, mpe), est, want)
+	if e := collectorPoint(t, after, 1); want > e.Upper || e.Lower > want {
+		t.Errorf("key 1: interval [%d,%d] misses baseline+new count %d", e.Lower, e.Upper, want)
 	}
 }
 

@@ -3,10 +3,9 @@
 // agents, or a standalone registry-built sketch — with the unified typed
 // query plane (internal/query): batched point estimates carrying certified
 // bounds, heavy-hitter top-k, and sliding-window queries, served through
-// /v2/query and the per-key v1 endpoints (thin shims over the same
-// Execute). Results flow through an epoch-aware cache (Cache) and state is
-// made durable through checkpoint files (WriteCheckpoint) built on
-// sketch.Snapshotter.
+// /v2/query. Top-k answers flow through an epoch-aware result cache, and
+// state is made durable through checkpoint files (WriteCheckpoint) built
+// on sketch.Snapshotter.
 package queryd
 
 import (
@@ -48,9 +47,8 @@ type Status struct {
 // concurrent use — the HTTP server issues queries from many goroutines.
 type Backend interface {
 	// Execute answers one typed batch request under a single state
-	// snapshot; every HTTP endpoint (v1 single-key and v2 batch alike) is
-	// a shim over it. Refusals (validation, missing capabilities, unknown
-	// agents) are returned as errors.
+	// snapshot; /v2/query is a thin layer over it. Refusals (validation,
+	// missing capabilities, unknown agents) are returned as errors.
 	Execute(query.Request) (query.Answer, error)
 	// Generation is the sealed-set generation answers derive from; it
 	// advances exactly when a window seals and stays 0 for cumulative

@@ -187,9 +187,10 @@ func TestPipelinedBackendEquivalence(t *testing.T) {
 	}
 }
 
-// TestInsertReportsApplied pins the /v1/insert fix: the response body says
-// how many items were accepted and dropped, and with a drop-policy pipeline
-// a refused batch is reported instead of silently 200-ed away.
+// TestInsertReportsApplied pins the ingest ack: the response body says
+// how many items were accepted and dropped, so with a drop-policy pipeline
+// a refused batch is reported instead of silently 200-ed away, and an item
+// without a value counts 1.
 func TestInsertReportsApplied(t *testing.T) {
 	tuning := ingest.Tuning{Workers: 1}
 	b, err := NewSketchBackendFrom(SketchBackendConfig{
@@ -207,22 +208,25 @@ func TestInsertReportsApplied(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/v1/insert", "application/json",
+	resp, err := http.Post(ts.URL+"/v2/ingest", "application/json",
 		strings.NewReader(`{"items":[{"key":7,"value":3},{"key":8}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var body struct {
-		Ingested   int    `json:"ingested"`
-		Dropped    int    `json:"dropped"`
-		Generation uint64 `json:"generation"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	var ack ingest.Ack
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK || body.Ingested != 2 || body.Dropped != 0 {
-		t.Fatalf("insert answered %d %+v, want 200 with 2 ingested", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusOK || ack.Accepted != 2 || ack.Dropped != 0 {
+		t.Fatalf("ingest answered %d %+v, want 200 with 2 accepted", resp.StatusCode, ack)
+	}
+	ans, err := b.Execute(query.Request{Kind: query.Point, Keys: []uint64{8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := ans.PerKey[0]; e.Lower > 1 || e.Upper < 1 {
+		t.Fatalf("valueless item: interval [%d, %d] misses 1", e.Lower, e.Upper)
 	}
 }
 
@@ -259,17 +263,18 @@ func TestIngestV2Endpoint(t *testing.T) {
 		t.Fatalf("/v2/ingest answered %d %+v, want 200 with 2 accepted", resp.StatusCode, ack)
 	}
 
-	q, err := http.Get(ts.URL + "/v1/point?key=42")
+	q, err := http.Post(ts.URL+"/v2/query", "application/json",
+		strings.NewReader(`{"kind":"point","keys":[42]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Body.Close()
-	var qr QueryResponse
+	var qr ExecResponse
 	if err := json.NewDecoder(q.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}
-	if qr.Lower > 15 || qr.Upper < 15 {
-		t.Fatalf("point after /v2/ingest: interval [%d, %d] misses 15", qr.Lower, qr.Upper)
+	if e := qr.PerKey[0]; e.Lower > 15 || e.Upper < 15 {
+		t.Fatalf("point after /v2/ingest: interval [%d, %d] misses 15", e.Lower, e.Upper)
 	}
 
 	// Method and capability errors keep the JSON envelope.

@@ -7,7 +7,7 @@ import (
 	"repro/internal/stream"
 )
 
-// maxIngestBody caps one /v1/insert or /v2/ingest body.
+// maxIngestBody caps one /v2/ingest body.
 const maxIngestBody = 32 << 20
 
 // itemsPrealloc caps the items decodeIngestBody allocates at once, one
@@ -15,7 +15,7 @@ const maxIngestBody = 32 << 20
 // items grows the slice.
 const itemsPrealloc = 4096
 
-// decodeIngestBody parses a /v1/insert or /v2/ingest body,
+// decodeIngestBody parses a /v2/ingest body,
 //
 //	{"items":[{"key":K,"value":V},...],"source":S,"epoch":E}
 //

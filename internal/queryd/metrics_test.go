@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/ingest"
+	"repro/internal/query"
 	"repro/internal/queryd"
 	"repro/internal/sketch"
 	"repro/internal/telemetry"
@@ -82,16 +83,18 @@ func TestMetricsCoverageEpochalPipelined(t *testing.T) {
 	insertItems(t, ts.URL, map[uint64]uint64{1: 5, 2: 7})
 	clk.Advance(2 * time.Second) // make the epoch overdue
 	// Reading through the server seals the overdue window (Generation pokes).
-	getJSON[queryd.QueryResponse](t, ts.URL+"/v1/point?key=1")
-	getJSON[queryd.QueryResponse](t, ts.URL+"/v1/point?key=1") // cache hit
+	execOK(t, ts.URL, query.Request{Kind: query.TopK, K: 2})
+	execOK(t, ts.URL, query.Request{Kind: query.TopK, K: 2}) // cache hit
 	resp := postJSON(t, ts.URL+"/v2/query", map[string]any{"kind": 1, "keys": []uint64{1, 2, 3}})
 	resp.Body.Close()
 
 	out := scrape(t, ts.URL)
 	for _, series := range []string{
-		`queryd_request_duration_seconds_bucket{endpoint="/v1/point",le="+Inf"}`,
 		`queryd_request_duration_seconds_bucket{endpoint="/v2/query",le="+Inf"}`,
-		"queryd_batch_keys_count 1",
+		`queryd_request_duration_seconds_count{endpoint="/v2/query"} 3`,
+		`queryd_request_duration_seconds_bucket{endpoint="/v2/ingest",le="+Inf"}`,
+		"queryd_batch_keys_count 3",
+		"queryd_cache_hits_total 1",
 		"queryd_cache_hits_total",
 		"queryd_cache_misses_total",
 		"queryd_backend_updates_total 2",

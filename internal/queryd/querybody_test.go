@@ -173,8 +173,9 @@ func FuzzDecodeQuery(f *testing.F) {
 }
 
 // TestAppendExecResponseMatchesEncoder is the differential check:
-// appendExecResponse writes the bytes writeJSON writes for every shape of
-// answer, appended after what dst already holds.
+// appendExecResponse writes the bytes a json.Encoder with HTML escaping
+// off writes for every shape of answer, appended after what dst already
+// holds; for a value the encoder refuses, both write nothing.
 func TestAppendExecResponseMatchesEncoder(t *testing.T) {
 	full := query.Answer{
 		PerKey:     []query.Estimate{{Key: 1, Est: 10, Lower: 7, Upper: 10}, {Key: 2}},
@@ -227,12 +228,43 @@ func TestAppendExecResponseMatchesEncoder(t *testing.T) {
 	setEveryField(t, reflect.ValueOf(&every).Elem())
 	cases["every field"] = every
 	for name, r := range cases {
-		rec := httptest.NewRecorder()
-		writeJSON(rec, http.StatusOK, r)
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetEscapeHTML(false)
+		_ = enc.Encode(r) // writes nothing when it refuses r
 		got := appendExecResponse([]byte("prefix"), r)
-		if !bytes.HasPrefix(got, []byte("prefix")) || !bytes.Equal(got[len("prefix"):], rec.Body.Bytes()) {
-			t.Errorf("%s:\nappendExecResponse %q\nwriteJSON          %q", name, got[len("prefix"):], rec.Body.Bytes())
+		if !bytes.HasPrefix(got, []byte("prefix")) || !bytes.Equal(got[len("prefix"):], want.Bytes()) {
+			t.Errorf("%s:\nappendExecResponse %q\njson.Encoder       %q", name, got[len("prefix"):], want.Bytes())
 		}
+	}
+}
+
+// TestWriteJSONRefusedValueAnswers500: a value encoding/json refuses is
+// answered with the 500 internal envelope, not a 200 with an empty body.
+func TestWriteJSONRefusedValueAnswers500(t *testing.T) {
+	for name, v := range map[string]any{
+		"NaN":    math.NaN(),
+		"status": map[string]any{"ratio": math.Inf(1)},
+		"answer": ExecResponse{Answer: query.Answer{KeyCoverage: math.NaN()}},
+	} {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, v)
+		var eb ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+			t.Errorf("%s: body %q is not the error envelope: %v", name, rec.Body.Bytes(), err)
+			continue
+		}
+		if rec.Code != http.StatusInternalServerError || eb.Error.Code != "internal" || eb.Error.Message == "" {
+			t.Errorf("%s: answered %d %+v, want 500 internal", name, rec.Code, eb)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", name, ct)
+		}
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusCreated, map[string]int{"n": 1})
+	if rec.Code != http.StatusCreated || rec.Body.String() != "{\"n\":1}\n" {
+		t.Errorf("encodable value answered %d %q", rec.Code, rec.Body.String())
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -21,15 +20,14 @@ import (
 
 // Config tunes the server. The zero value is usable: a 4096-entry sharded
 // LRU cache, 250ms TTL for live answers, query-plane batch limits, and no
-// checkpointing. The result cache fronts top-k and the v1 shims only;
-// /v2/query point and window batches are never cached.
+// checkpointing. The result cache fronts top-k only; /v2/query point and
+// window batches are never cached.
 type Config struct {
 	// CacheCapacity bounds the result cache (entries); ≤ 0 means 4096.
 	CacheCapacity int
 	// CacheTTL is how long live-window (cumulative) answers stay fresh;
 	// ≤ 0 means 250ms. Sealed-window answers ignore it — they are immutable
-	// and cache until their generation is superseded. Cached deterministic
-	// errors (unknown agents) expire on the same interval.
+	// and cache until their generation is superseded.
 	CacheTTL time.Duration
 	// CachePolicy names the eviction/admission policy: rcache.PolicyLRU
 	// (the default), rcache.PolicyS3FIFO, or rcache.PolicyTinyLFU. Unknown
@@ -78,20 +76,14 @@ type Config struct {
 //	                              per-key certified bounds, one round trip
 //	POST /v2/ingest               one typed ingest.Batch (items + source +
 //	                              epoch tag), answered with Ack JSON
-//	GET  /v1/point?key=K          point estimate with certified bounds
-//	GET  /v1/window?key=K&n=N     sliding-window query over sealed epochs
-//	     (&agent=ID scopes to one agent, where the backend supports it)
-//	GET  /v1/topk?k=N             heavy-hitter enumeration, heaviest first
 //	GET  /v1/status               backend + cache + checkpoint counters
-//	POST /v1/insert               standalone ingest: {"items":[{"key","value"}]}
 //	POST /v1/checkpoint           checkpoint on demand
 //
-// The v1 endpoints are single-key shims over the same Execute the batch
-// endpoint uses. /v2/query point and window batches go straight to the
-// backend in one batch, uncached, so they always see the writes acked
-// before them; top-k and the v1 shims go through the epoch-aware result
-// cache, whole. Errors are a consistent JSON envelope:
-// {"error":{"code":"...","message":"..."}}.
+// plus the replication routes (/v2/delta, /v2/replicate) and GET /metrics.
+// /v2/query point and window batches go straight to the backend in one
+// batch, uncached, so they always see the writes acked before them; top-k
+// goes through the epoch-aware result cache, whole. Errors are a
+// consistent JSON envelope: {"error":{"code":"...","message":"..."}}.
 type Server struct {
 	b     Backend
 	cfg   Config
@@ -165,12 +157,7 @@ func New(b Backend, cfg Config) (*Server, error) {
 			Policy:   policy,
 			TTL:      cfg.CacheTTL,
 			SWR:      cfg.CacheSWR,
-			// Unknown-agent errors are deterministic until new data
-			// arrives: cache the 404 for one TTL so repeated probes for
-			// absent agents stop reaching the backend.
-			NegTTL:         cfg.CacheTTL,
-			CacheableError: func(err error) bool { return errors.Is(err, netsum.ErrUnknownAgent) },
-			Clock:          cfg.Clock,
+			Clock:    cfg.Clock,
 		}),
 		mux:  http.NewServeMux(),
 		reg:  cfg.Metrics,
@@ -214,11 +201,7 @@ func New(b Backend, cfg Config) (*Server, error) {
 	s.handle("/v2/ingest", "POST", s.handleIngest)
 	s.handle("/v2/delta", "GET", s.handleDelta)
 	s.handle("/v2/replicate", "POST", s.handleReplicate)
-	s.handle("/v1/point", "GET", s.handlePoint)
-	s.handle("/v1/window", "GET", s.handleWindow)
-	s.handle("/v1/topk", "GET", s.handleTopK)
 	s.handle("/v1/status", "GET", s.handleStatus)
-	s.handle("/v1/insert", "POST", s.handleInsert)
 	s.handle("/v1/checkpoint", "POST", s.handleCheckpoint)
 	if !cfg.DisableMetrics {
 		s.handle("/metrics", "GET", telhttp.Handler(s.reg).ServeHTTP)
@@ -344,47 +327,6 @@ func (s *Server) checkpointLoop() {
 	}
 }
 
-// QueryResponse is the JSON body of v1 point and window queries. When
-// Certified, truth lies in [Lower, Upper] for the history the answer
-// covers; MPE is the certified error radius Upper − Lower.
-type QueryResponse struct {
-	Key       uint64 `json:"key"`
-	Est       uint64 `json:"est"`
-	MPE       uint64 `json:"mpe"`
-	Lower     uint64 `json:"lower"`
-	Upper     uint64 `json:"upper"`
-	Certified bool   `json:"certified"`
-	// Window and Covered report the requested and answered sealed-epoch
-	// spans of window queries (both 0 for cumulative point answers).
-	Window  int `json:"window,omitempty"`
-	Covered int `json:"covered,omitempty"`
-	// Agent scopes an agent-window answer (absent for global ones).
-	Agent      uint64 `json:"agent,omitempty"`
-	Generation uint64 `json:"generation"`
-	Cached     bool   `json:"cached"`
-}
-
-func (r QueryResponse) withCached(c bool) any { r.Cached = c; return r }
-
-// TopKItem is one heavy hitter with its certified interval.
-type TopKItem struct {
-	Key       uint64 `json:"key"`
-	Est       uint64 `json:"est"`
-	MPE       uint64 `json:"mpe"`
-	Lower     uint64 `json:"lower"`
-	Certified bool   `json:"certified"`
-}
-
-// TopKResponse is the JSON body of /v1/topk.
-type TopKResponse struct {
-	K          int        `json:"k"`
-	Items      []TopKItem `json:"items"`
-	Generation uint64     `json:"generation"`
-	Cached     bool       `json:"cached"`
-}
-
-func (r TopKResponse) withCached(c bool) any { r.Cached = c; return r }
-
 // ExecResponse is the JSON body of /v2/query: the typed Answer plus the
 // whole-answer cache flag. Point and window batches are always computed
 // fresh, so Cached is false for them; for top-k it reports a cache hit.
@@ -392,10 +334,6 @@ type ExecResponse struct {
 	query.Answer
 	Cached bool `json:"cached"`
 }
-
-// cacheable is implemented by the v1 response types so a cached copy can
-// be stamped without mutating the stored value.
-type cacheable interface{ withCached(bool) any }
 
 // CacheStats is the result cache's counter snapshot as it appears in
 // /v1/status. It is rcache.Stats verbatim: the first eight fields keep the
@@ -421,7 +359,7 @@ type CheckpointStatus struct {
 // and window batches run as one backend batch with no result cache — a
 // sketch answers a key in a few memory probes, cheaper than a cache round
 // trip per key — so every answer reflects the writes acked before it.
-// Top-k answers cache whole, like v1.
+// Top-k answers cache whole.
 //
 // The body is read whole, up to maxQueryBody, into a pooled buffer and
 // parsed by decodeQueryBody; the answer is encoded by appendExecResponse
@@ -470,7 +408,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		resp = ExecResponse{Answer: val.(query.Answer), Cached: hit}
 	} else {
 		// Stamp the generation read before Execute, as cached does for
-		// top-k and the v1 shims, so every response labels its answer alike.
+		// top-k, so every response labels its answer alike.
 		gen := s.b.Generation()
 		ans, err := s.b.Execute(req)
 		if err != nil {
@@ -492,89 +430,6 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 // over 1 MiB, so one large body does not pin its buffer. It is apart from
 // ingestBodies, whose far larger bodies would otherwise size it.
 var queryBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
-	key, err := parseUint(r, "key", true, 0)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	s.serveCached(w, fmt.Sprintf("p/%d", key), func(gen uint64) (any, error) {
-		ans, err := s.b.Execute(query.Request{Kind: query.Point, Keys: []uint64{key}})
-		if err != nil {
-			return nil, err
-		}
-		return s.toResponse(ans, gen), nil
-	})
-}
-
-func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
-	key, err := parseUint(r, "key", true, 0)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	n, err := parseUint(r, "n", false, 1)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	req := query.Request{Kind: query.Window, Keys: []uint64{key}, Window: int(n)}
-	if agentStr := r.URL.Query().Get("agent"); agentStr != "" {
-		req.Agent, err = strconv.ParseUint(agentStr, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("agent: %w", err))
-			return
-		}
-	}
-	if err := req.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	s.serveCached(w, fmt.Sprintf("w/%d/%d/%d", req.Agent, key, n), func(gen uint64) (any, error) {
-		ans, err := s.b.Execute(req)
-		if err != nil {
-			return nil, err
-		}
-		resp := s.toResponse(ans, gen)
-		resp.Window = int(n)
-		resp.Agent = req.Agent
-		return resp, nil
-	})
-}
-
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	k, err := parseUint(r, "k", false, 10)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_request", err)
-		return
-	}
-	// Each returned item carries a certified interval read under the same
-	// snapshot, so k is bounded well below the cache and tracked-set sizes;
-	// the composed answer is cached like any other.
-	if k < 1 || k > query.MaxTopK {
-		httpError(w, http.StatusBadRequest, "bad_request",
-			fmt.Errorf("k=%d out of range [1, %d]", k, query.MaxTopK))
-		return
-	}
-	s.serveCached(w, fmt.Sprintf("t/%d", k), func(gen uint64) (any, error) {
-		ans, err := s.b.Execute(query.Request{Kind: query.TopK, K: int(k)})
-		if err != nil {
-			return nil, err
-		}
-		resp := TopKResponse{K: int(k), Items: make([]TopKItem, 0, len(ans.PerKey)), Generation: gen}
-		for _, e := range ans.PerKey {
-			resp.Items = append(resp.Items, TopKItem{
-				Key:       e.Key,
-				Est:       e.Est,
-				MPE:       e.Est - e.Lower,
-				Lower:     e.Lower,
-				Certified: ans.Certified,
-			})
-		}
-		return resp, nil
-	})
-}
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	resp := StatusResponse{Backend: s.b.Status(), Cache: s.cache.Stats()}
@@ -621,45 +476,14 @@ func decodeIngest(w http.ResponseWriter, r *http.Request) (ingest.Batch, bool) {
 	return b, true
 }
 
-// ingester resolves the backend's write surface, answering the JSON 501
-// itself when there is none.
-func (s *Server) ingester(w http.ResponseWriter) (Ingester, bool) {
-	ing, ok := s.b.(Ingester)
-	if !ok {
-		httpError(w, http.StatusNotImplemented, "unsupported",
-			errors.New("backend does not ingest over HTTP (collector backends ingest through the agent protocol)"))
-		return nil, false
-	}
-	return ing, true
-}
-
-// handleInsert serves POST /v1/insert. The response reports what actually
-// happened to the items — "ingested" is the accepted count, and a full
-// queue under the drop backpressure policy shows up as "dropped" instead of
-// a bare 200 that pretends everything was applied.
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	ing, ok := s.ingester(w)
-	if !ok {
-		return
-	}
-	b, ok := decodeIngest(w, r)
-	if !ok {
-		return
-	}
-	ack := ing.Ingest(b)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ingested":   ack.Accepted,
-		"dropped":    ack.Dropped,
-		"generation": ack.Generation,
-	})
-}
-
 // handleIngest serves POST /v2/ingest: one typed ingest.Batch — items plus
 // source attribution and an optional epoch tag — answered with the Ack
 // verbatim. The write-side sibling of /v2/query.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	ing, ok := s.ingester(w)
+	ing, ok := s.b.(Ingester)
 	if !ok {
+		httpError(w, http.StatusNotImplemented, "unsupported",
+			errors.New("backend does not ingest over HTTP (collector backends ingest through the agent protocol)"))
 		return
 	}
 	b, ok := decodeIngest(w, r)
@@ -691,29 +515,6 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		"path":       s.cfg.CheckpointPath,
 		"elapsed_ms": time.Since(start).Milliseconds(),
 	})
-}
-
-// toResponse shapes a single-key Answer into the v1 response, stamping the
-// generation the request was admitted under.
-func (s *Server) toResponse(ans query.Answer, gen uint64) QueryResponse {
-	e := ans.PerKey[0]
-	return QueryResponse{
-		Key:        e.Key,
-		Est:        e.Est,
-		MPE:        e.Est - e.Lower,
-		Lower:      e.Lower,
-		Upper:      e.Upper,
-		Certified:  ans.Certified,
-		Covered:    ans.Coverage,
-		Generation: gen,
-	}
-}
-
-// serveCached writes a v1 answer, from cached, as JSON.
-func (s *Server) serveCached(w http.ResponseWriter, key string, compute func(gen uint64) (any, error)) {
-	if val, hit, ok := s.cached(w, key, compute); ok {
-		writeJSON(w, http.StatusOK, val.(cacheable).withCached(hit))
-	}
 }
 
 // cached runs compute through the epoch-aware cache, reporting whether the
@@ -759,27 +560,30 @@ func (s *Server) execError(w http.ResponseWriter, err error) {
 	}
 }
 
-func parseUint(r *http.Request, name string, required bool, def uint64) (uint64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		if required {
-			return 0, fmt.Errorf("missing query parameter %q", name)
-		}
-		return def, nil
-	}
-	u, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", name, err)
-	}
-	return u, nil
-}
+// jsonBufs recycles writeJSON's encode buffers. writeJSON keeps none over
+// 1 MiB, so one large answer does not pin its buffer.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// writeJSON answers v as JSON with status. v is encoded whole before the
+// header goes out, so a value encoding/json refuses (NaN, ±Inf) is answered
+// with the 500 internal envelope instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= 1<<20 {
+			buf.Reset()
+			jsonBufs.Put(buf)
+		}
+	}()
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		httpError(w, http.StatusInternalServerError, "internal", fmt.Errorf("encoding response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // ErrorBody is the JSON error envelope every endpoint answers failures

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -94,10 +96,10 @@ func insertItems(t *testing.T, base string, items map[uint64]uint64) {
 	for k, v := range items {
 		req.Items = append(req.Items, item{Key: k, Value: v})
 	}
-	resp := postJSON(t, base+"/v1/insert", req)
+	resp := postJSON(t, base+"/v2/ingest", req)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("insert: status %d", resp.StatusCode)
+		t.Fatalf("ingest: status %d", resp.StatusCode)
 	}
 }
 
@@ -129,34 +131,33 @@ func TestStandalonePointQueryCertified(t *testing.T) {
 		truth[i] = i * 3
 	}
 	insertItems(t, ts.URL, truth)
-	for _, key := range []uint64{1, 100, 300} {
-		r := getJSON[queryd.QueryResponse](t, fmt.Sprintf("%s/v1/point?key=%d", ts.URL, key))
-		if !r.Certified {
-			t.Fatalf("key %d: uncertified answer from an ErrorBounded sketch", key)
-		}
-		if truth[key] > r.Upper || r.Lower > truth[key] {
-			t.Errorf("key %d: interval [%d,%d] misses exact %d", key, r.Lower, r.Upper, truth[key])
-		}
+	// 999999 was never inserted and still answers with a sound interval.
+	r := execOK(t, ts.URL, query.Request{Kind: query.Point, Keys: []uint64{1, 100, 300, 999999}})
+	if !r.Certified {
+		t.Fatal("uncertified answer from an ErrorBounded sketch")
 	}
-	// A key never inserted still answers with a sound interval.
-	r := getJSON[queryd.QueryResponse](t, ts.URL+"/v1/point?key=999999")
-	if r.Lower > 0 {
-		t.Errorf("absent key certified lower bound %d > 0", r.Lower)
+	for _, e := range r.PerKey {
+		if truth[e.Key] > e.Upper || e.Lower > truth[e.Key] {
+			t.Errorf("key %d: interval [%d,%d] misses exact %d", e.Key, e.Lower, e.Upper, truth[e.Key])
+		}
 	}
 }
 
+// TestRepeatedQueriesHitCache: top-k answers are cached whole, so repeats
+// inside the TTL are hits that return the first answer.
 func TestRepeatedQueriesHitCache(t *testing.T) {
 	_, ts, _ := newStandaloneServer(t, queryd.Config{CacheTTL: time.Hour})
-	insertItems(t, ts.URL, map[uint64]uint64{7: 100})
-	first := getJSON[queryd.QueryResponse](t, ts.URL+"/v1/point?key=7")
+	insertItems(t, ts.URL, map[uint64]uint64{7: 100, 8: 50})
+	req := query.Request{Kind: query.TopK, K: 2}
+	first := execOK(t, ts.URL, req)
 	if first.Cached {
 		t.Error("first query claims cached")
 	}
 	const repeats = 99
 	for i := 0; i < repeats; i++ {
-		r := getJSON[queryd.QueryResponse](t, ts.URL+"/v1/point?key=7")
-		if !r.Cached || r.Est != first.Est {
-			t.Fatalf("repeat %d: cached=%v est=%d, want cached est=%d", i, r.Cached, r.Est, first.Est)
+		r := execOK(t, ts.URL, req)
+		if !r.Cached || !reflect.DeepEqual(r.Answer, first.Answer) {
+			t.Fatalf("repeat %d: cached=%v answer %+v, want cached %+v", i, r.Cached, r.Answer, first.Answer)
 		}
 	}
 	st := getJSON[queryd.StatusResponse](t, ts.URL+"/v1/status")
@@ -174,18 +175,20 @@ func TestTopKEndpoint(t *testing.T) {
 	items[777] = 10_000
 	items[888] = 5_000
 	insertItems(t, ts.URL, items)
-	r := getJSON[queryd.TopKResponse](t, ts.URL+"/v1/topk?k=2")
-	if len(r.Items) != 2 {
-		t.Fatalf("topk returned %d items", len(r.Items))
+	r := execOK(t, ts.URL, query.Request{Kind: query.TopK, K: 2})
+	if len(r.PerKey) != 2 {
+		t.Fatalf("topk returned %d items", len(r.PerKey))
 	}
-	if r.Items[0].Key != 777 || r.Items[1].Key != 888 {
-		t.Errorf("topk order = [%d, %d], want [777, 888]", r.Items[0].Key, r.Items[1].Key)
+	if r.PerKey[0].Key != 777 || r.PerKey[1].Key != 888 {
+		t.Errorf("topk order = [%d, %d], want [777, 888]", r.PerKey[0].Key, r.PerKey[1].Key)
 	}
-	if r.Items[0].Est < 10_000 || !r.Items[0].Certified {
-		t.Errorf("heaviest item est=%d certified=%v", r.Items[0].Est, r.Items[0].Certified)
+	if r.PerKey[0].Est < 10_000 || !r.Certified {
+		t.Errorf("heaviest item est=%d certified=%v", r.PerKey[0].Est, r.Certified)
 	}
 }
 
+// TestEpochWindowCacheInvalidationOnSeal: a sealed-window top-k answer is
+// cached per generation with no TTL, and a seal invalidates it.
 func TestEpochWindowCacheInvalidationOnSeal(t *testing.T) {
 	clk := &manualTestClock{now: time.Unix(0, 0)}
 	spec := sketch.Spec{MemoryBytes: 128 << 10, Lambda: 25, Seed: 1}
@@ -202,14 +205,14 @@ func TestEpochWindowCacheInvalidationOnSeal(t *testing.T) {
 
 	b.Ingest(ingest.Batch{Items: []stream.Item{{Key: 5, Value: 100}}})
 	clk.Advance(time.Second) // seal epoch 0
-	url := ts.URL + "/v1/window?key=5&n=4"
-	first := getJSON[queryd.QueryResponse](t, url)
-	if first.Cached || first.Est != 100 || first.Covered != 1 {
+	req := query.Request{Kind: query.TopK, K: 3, Window: 4}
+	first := execOK(t, ts.URL, req)
+	if first.Cached || len(first.PerKey) != 1 || first.PerKey[0].Est != 100 {
 		t.Fatalf("first sealed answer = %+v", first)
 	}
 	// Sealed answers are immutable: repeats are cache hits at the same
 	// generation, regardless of TTL.
-	second := getJSON[queryd.QueryResponse](t, url)
+	second := execOK(t, ts.URL, req)
 	if !second.Cached || second.Generation != first.Generation {
 		t.Fatalf("second sealed answer = %+v", second)
 	}
@@ -218,15 +221,15 @@ func TestEpochWindowCacheInvalidationOnSeal(t *testing.T) {
 	// generation is invalidated and the answer now covers both epochs.
 	b.Ingest(ingest.Batch{Items: []stream.Item{{Key: 5, Value: 40}}})
 	clk.Advance(time.Second)
-	third := getJSON[queryd.QueryResponse](t, url)
+	third := execOK(t, ts.URL, req)
 	if third.Cached {
 		t.Error("stale-generation answer served from cache after a seal")
 	}
 	if third.Generation <= first.Generation {
 		t.Errorf("generation %d did not advance past %d", third.Generation, first.Generation)
 	}
-	if third.Est != 140 || third.Covered != 2 {
-		t.Errorf("two-epoch window answer = %+v, want est=140 covered=2", third)
+	if len(third.PerKey) != 1 || third.PerKey[0].Est != 140 {
+		t.Errorf("two-epoch top-k answer = %+v, want key 5 at est=140", third)
 	}
 }
 
@@ -267,35 +270,28 @@ func TestCollectorBackendEndpoints(t *testing.T) {
 	}
 	clk.Advance(time.Second)
 
-	r := getJSON[queryd.QueryResponse](t, ts.URL+"/v1/point?key=9")
-	if !r.Certified || 80 > r.Upper || r.Lower > 80 {
-		t.Errorf("collector point answer %+v misses exact 80", r)
-	}
-	w := getJSON[queryd.QueryResponse](t, ts.URL+"/v1/window?key=9&n=4")
-	if w.Covered != 1 || 80 > w.Upper || w.Lower > 80 {
-		t.Errorf("collector window answer %+v", w)
-	}
-	aw := getJSON[queryd.QueryResponse](t, ts.URL+"/v1/window?key=9&n=4&agent=42")
-	if aw.Agent != 42 || 80 > aw.Upper || aw.Lower > 80 {
-		t.Errorf("agent window answer %+v", aw)
-	}
-	if resp, err := http.Get(ts.URL + "/v1/window?key=9&n=4&agent=777"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("unknown agent: status %d, want 404", resp.StatusCode)
+	for _, req := range []query.Request{
+		{Kind: query.Point, Keys: []uint64{9}},
+		{Kind: query.Window, Keys: []uint64{9}, Window: 4},
+		{Kind: query.Window, Keys: []uint64{9}, Window: 4, Agent: 42},
+	} {
+		r := execOK(t, ts.URL, req)
+		if e := r.PerKey[0]; !r.Certified || r.Coverage != 1 || 80 > e.Upper || e.Lower > 80 {
+			t.Errorf("collector answer to %+v = %+v, want coverage 1 around exact 80", req, r)
 		}
+	}
+	if _, status := postExec(t, ts.URL, query.Request{Kind: query.Window, Keys: []uint64{9}, Window: 4, Agent: 777}); status != http.StatusNotFound {
+		t.Errorf("unknown agent: status %d, want 404", status)
 	}
 	st := getJSON[queryd.StatusResponse](t, ts.URL+"/v1/status")
 	if st.Backend.Mode != "collector" || st.Backend.Agents != 1 || !st.Backend.Epochal {
 		t.Errorf("status backend = %+v", st.Backend)
 	}
 	// A collector backend does not ingest over HTTP.
-	resp := postJSON(t, ts.URL+"/v1/insert", map[string]any{"items": []any{}})
+	resp := postJSON(t, ts.URL+"/v2/ingest", map[string]any{"items": []any{}})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("collector insert: status %d, want 501", resp.StatusCode)
+		t.Errorf("collector ingest: status %d, want 501", resp.StatusCode)
 	}
 }
 
@@ -344,11 +340,11 @@ func TestCheckpointWarmRestart(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(s2.Handler())
 	t.Cleanup(func() { ts2.Close(); s2.Close() })
-	for _, key := range []uint64{1, 250, 500} {
-		r := getJSON[queryd.QueryResponse](t, fmt.Sprintf("%s/v1/point?key=%d", ts2.URL, key))
-		if !r.Certified || truth[key] > r.Upper || r.Lower > truth[key] {
+	r := execOK(t, ts2.URL, query.Request{Kind: query.Point, Keys: []uint64{1, 250, 500}})
+	for _, e := range r.PerKey {
+		if !r.Certified || truth[e.Key] > e.Upper || e.Lower > truth[e.Key] {
 			t.Errorf("restored key %d: interval [%d,%d] misses pre-restart exact %d",
-				key, r.Lower, r.Upper, truth[key])
+				e.Key, e.Lower, e.Upper, truth[e.Key])
 		}
 	}
 }
@@ -377,14 +373,18 @@ func TestConcurrentQueriesAndIngest(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				url := fmt.Sprintf("%s/v1/point?key=%d", ts.URL, i%16)
+				var resp *http.Response
+				var err error
 				switch i % 4 {
 				case 1:
-					url = ts.URL + "/v1/topk?k=5"
+					resp, err = client.Post(ts.URL+"/v2/query", "application/json",
+						strings.NewReader(`{"kind":"topk","k":5}`))
 				case 2:
-					url = ts.URL + "/v1/status"
+					resp, err = client.Get(ts.URL + "/v1/status")
+				default:
+					resp, err = client.Post(ts.URL+"/v2/query", "application/json",
+						strings.NewReader(fmt.Sprintf(`{"kind":"point","keys":[%d]}`, i%16)))
 				}
-				resp, err := client.Get(url)
 				if err != nil {
 					t.Error(err)
 					return
@@ -400,20 +400,23 @@ func TestConcurrentQueriesAndIngest(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	_, ts, _ := newStandaloneServer(t, queryd.Config{})
-	for url, want := range map[string]int{
-		"/v1/point":                http.StatusBadRequest, // missing key
-		"/v1/point?key=abc":        http.StatusBadRequest,
-		"/v1/window?key=1&n=0":     http.StatusBadRequest,
-		"/v1/topk?k=0":             http.StatusBadRequest,
-		"/v1/window?key=1&agent=2": http.StatusNotImplemented, // standalone: no agents
+	for body, want := range map[string]int{
+		`{"kind":"point"}`:                                  http.StatusBadRequest, // no keys
+		`{"kind":"point","keys":["abc"]}`:                   http.StatusBadRequest,
+		`{"kind":"window","keys":[1],"window":0}`:           http.StatusBadRequest,
+		`{"kind":"topk","k":0}`:                             http.StatusBadRequest,
+		`{"kind":"window","keys":[1],"window":1,"agent":2}`: http.StatusNotImplemented, // standalone: no agents
 	} {
-		resp, err := http.Get(ts.URL + url)
-		if err != nil {
-			t.Fatal(err)
+		status, eb := errorEnvelope(t, "POST", ts.URL+"/v2/query", strings.NewReader(body))
+		if status != want || eb.Error.Code == "" {
+			t.Errorf("POST /v2/query %s: status %d code %q, want %d", body, status, eb.Error.Code, want)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Errorf("GET %s: status %d, want %d", url, resp.StatusCode, want)
+	}
+	// The retired single-key routes are gone: they answer the 404 envelope.
+	for _, path := range []string{"/v1/point?key=1", "/v1/window?key=1&n=1", "/v1/topk?k=1"} {
+		status, eb := errorEnvelope(t, "GET", ts.URL+path, nil)
+		if status != http.StatusNotFound || eb.Error.Code != "not_found" {
+			t.Errorf("GET %s: status %d code %q, want 404 not_found", path, status, eb.Error.Code)
 		}
 	}
 }
@@ -469,7 +472,7 @@ func TestRestoreRejectsCorruptSnapshotAtomically(t *testing.T) {
 func TestEpochTopKEmptyBeforeFirstSeal(t *testing.T) {
 	// Before anything seals, top-k is an empty window — not a missing
 	// capability: the endpoint must answer 200 with no items, exactly as
-	// /v1/window answers zeros with covered=0 in the same state.
+	// a window query answers zeros with coverage 0 in the same state.
 	clk := &manualTestClock{now: time.Unix(0, 0)}
 	spec := sketch.Spec{MemoryBytes: 128 << 10, Lambda: 25, Seed: 1}
 	b, err := queryd.NewSketchBackend("Ours", spec, time.Second, 4, clk.Now)
@@ -484,14 +487,13 @@ func TestEpochTopKEmptyBeforeFirstSeal(t *testing.T) {
 	t.Cleanup(func() { ts.Close(); s.Close() })
 
 	b.Ingest(ingest.Batch{Items: []stream.Item{{Key: 5, Value: 100}}})
-	r := getJSON[queryd.TopKResponse](t, ts.URL+"/v1/topk?k=3")
-	if len(r.Items) != 0 {
-		t.Errorf("pre-seal topk returned %d items", len(r.Items))
+	req := query.Request{Kind: query.TopK, K: 3}
+	if r := execOK(t, ts.URL, req); len(r.PerKey) != 0 {
+		t.Errorf("pre-seal topk returned %d items", len(r.PerKey))
 	}
 	clk.Advance(time.Second)
-	r = getJSON[queryd.TopKResponse](t, ts.URL+"/v1/topk?k=3")
-	if len(r.Items) != 1 || r.Items[0].Key != 5 {
-		t.Errorf("post-seal topk = %+v, want key 5", r.Items)
+	if r := execOK(t, ts.URL, req); len(r.PerKey) != 1 || r.PerKey[0].Key != 5 {
+		t.Errorf("post-seal topk = %+v, want key 5", r.PerKey)
 	}
 }
 

@@ -55,6 +55,16 @@ func postExec(t *testing.T, url string, req query.Request) (queryd.ExecResponse,
 	return out, resp.StatusCode
 }
 
+// execOK sends one /v2/query batch that must succeed.
+func execOK(t *testing.T, url string, req query.Request) queryd.ExecResponse {
+	t.Helper()
+	out, status := postExec(t, url, req)
+	if status != http.StatusOK {
+		t.Fatalf("/v2/query %+v: status %d", req, status)
+	}
+	return out
+}
+
 // TestV2BatchAnswers256Keys is the acceptance pin: one request, 256 keys,
 // per-key certified bounds containing the exact counts.
 func TestV2BatchAnswers256Keys(t *testing.T) {
@@ -232,9 +242,9 @@ func overLimitQueryBody() string {
 	return req + strings.Repeat(" ", queryd.MaxQueryBody+1-len(req))
 }
 
-// TestJSONErrorEnvelopeEverywhere is the satellite pin: every failure —
-// bad parameters, unknown endpoints, wrong methods, refused capabilities,
-// oversized batches, refused ingest bodies — answers
+// TestJSONErrorEnvelopeEverywhere pins the error contract: every failure —
+// bad parameters, unknown or retired endpoints, wrong methods, refused
+// capabilities, oversized batches, refused ingest bodies — answers
 // {"error":{code,message}} with the JSON Content-Type and lands nothing.
 // The one accepted ingest body lands its item with the default value 1.
 func TestJSONErrorEnvelopeEverywhere(t *testing.T) {
@@ -243,36 +253,32 @@ func TestJSONErrorEnvelopeEverywhere(t *testing.T) {
 	b.Ingest(ingest.Batch{Items: []stream.Item{{Key: 1, Value: 1}}})
 
 	bigBatch, _ := json.Marshal(query.Request{Kind: query.Point, Keys: make([]uint64, 9)})
-	overLimit := overLimitIngestBody()
 	cases := []struct {
 		method, url string
 		body        string
 		status      int
 		code        string
 	}{
-		{"GET", "/v1/point", "", http.StatusBadRequest, "bad_request"},
-		{"GET", "/v1/point?key=abc", "", http.StatusBadRequest, "bad_request"},
-		{"GET", "/v1/window?key=1&n=0", "", http.StatusBadRequest, "bad_request"},
-		{"GET", "/v1/window?key=1&agent=7", "", http.StatusNotImplemented, "unsupported"},
-		{"GET", "/v1/topk?k=0", "", http.StatusBadRequest, "bad_request"},
+		{"GET", "/v1/point?key=1", "", http.StatusNotFound, "not_found"},
+		{"GET", "/v1/window?key=1&n=1", "", http.StatusNotFound, "not_found"},
+		{"GET", "/v1/topk?k=1", "", http.StatusNotFound, "not_found"},
+		{"POST", "/v1/insert", `{"items":[{"key":1}]}`, http.StatusNotFound, "not_found"},
+		{"POST", "/v2/query", `{"kind":"window","keys":[1],"window":0}`, http.StatusBadRequest, "bad_request"},
+		{"POST", "/v2/query", `{"kind":"window","keys":[1],"window":1,"agent":7}`, http.StatusNotImplemented, "unsupported"},
+		{"POST", "/v2/query", `{"kind":"topk","k":0}`, http.StatusBadRequest, "bad_request"},
 		{"POST", "/v1/checkpoint", "", http.StatusNotImplemented, "unsupported"},
-		{"POST", "/v1/insert", "{", http.StatusBadRequest, "bad_request"},
 		{"GET", "/v1/nope", "", http.StatusNotFound, "not_found"},
-		{"POST", "/v1/point?key=1", "", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"POST", "/v1/status", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"GET", "/v2/query", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"POST", "/v2/query", "{\"kind\":\"nope\"}", http.StatusBadRequest, "bad_request"},
 		{"POST", "/v2/query", "{\"kind\":\"point\"}", http.StatusBadRequest, "bad_request"},
 		{"POST", "/v2/query", string(bigBatch), http.StatusBadRequest, "bad_request"},
 		{"POST", "/v2/query", overLimitQueryBody(), http.StatusBadRequest, "bad_request"},
 		{"POST", "/v2/query", `{"kind":"point","keys":[1.5]}`, http.StatusBadRequest, "bad_request"},
-		{"POST", "/v2/ingest", overLimit, http.StatusBadRequest, "bad_request"},
+		{"POST", "/v2/ingest", overLimitIngestBody(), http.StatusBadRequest, "bad_request"},
 		{"POST", "/v2/ingest", "", http.StatusBadRequest, "bad_request"},
 		{"POST", "/v2/ingest", `{"items":[{"key":1}`, http.StatusBadRequest, "bad_request"},
 		{"POST", "/v2/ingest", `{"items":[{"key":"1"}]}`, http.StatusBadRequest, "bad_request"},
-		{"POST", "/v1/insert", overLimit, http.StatusBadRequest, "bad_request"},
-		{"POST", "/v1/insert", "", http.StatusBadRequest, "bad_request"},
-		{"POST", "/v1/insert", `{"items":[{"key":1}`, http.StatusBadRequest, "bad_request"},
-		{"POST", "/v1/insert", `{"items":[{"key":"1"}]}`, http.StatusBadRequest, "bad_request"},
 		{"POST", "/v2/ingest", `{"items":[{"key":777}]}`, http.StatusOK, ""},
 	}
 	for _, c := range cases {

@@ -1,7 +1,6 @@
 // Package rcache is the serving plane's result cache: a sharded,
 // policy-pluggable, epoch-aware cache with singleflight collapsing,
-// stale-while-revalidate for TTL'd answers, and negative caching for
-// deterministic errors.
+// and stale-while-revalidate for TTL'd answers.
 //
 // Entries are keyed by (query, sealed-set generation) and live in one of N
 // power-of-two shards, each with its own mutex, entry map, inflight map,
@@ -23,11 +22,6 @@
 //     recomputes it — staleness costs freshness, never soundness, because
 //     the certified interval remains correct for the state it was
 //     computed from.
-//
-// Negative caching stores errors the configured predicate deems
-// deterministic (an unknown agent stays unknown until new data arrives)
-// for a short TTL, so repeated probes for absent keys stop reaching the
-// backend.
 package rcache
 
 import (
@@ -51,7 +45,7 @@ const (
 
 // Config sizes and parameterizes a Cache. The zero value is usable: an
 // LRU cache of DefaultCapacity entries across DefaultShards shards with
-// DefaultTTL freshness, no SWR, and no negative caching.
+// DefaultTTL freshness and no SWR.
 type Config struct {
 	// Capacity is the total entry budget, split evenly across shards.
 	// Values below 1 mean DefaultCapacity.
@@ -70,12 +64,6 @@ type Config struct {
 	// an entry expired less than SWR ago is served immediately while a
 	// single background flight refreshes it. Zero disables SWR.
 	SWR time.Duration
-	// NegTTL bounds how long a cacheable error is served from the cache.
-	// Zero disables negative caching even when CacheableError is set.
-	NegTTL time.Duration
-	// CacheableError reports whether an error is deterministic enough to
-	// cache (e.g. unknown-agent lookups). nil disables negative caching.
-	CacheableError func(error) bool
 	// Clock overrides wall time (tests).
 	Clock func() time.Time
 }
@@ -90,9 +78,7 @@ type Cache struct {
 	capacity int
 	ttl      time.Duration
 	swr      time.Duration
-	negTTL   time.Duration
 	clock    func() time.Time
-	cachable func(error) bool
 
 	// Counters are telemetry instruments (single atomic words) so the
 	// cache's JSON stats and its Prometheus series read the same source of
@@ -107,7 +93,6 @@ type Cache struct {
 	ghostHits        telemetry.Counter
 	admissionRejects telemetry.Counter
 	staleServed      telemetry.Counter
-	negHits          telemetry.Counter
 }
 
 // shard is one lock domain: a map of generation-labeled entries, the
@@ -122,13 +107,11 @@ type shard struct {
 
 // entry is one stored answer, intrusively linked into its shard's policy
 // queues. A zero expires means immutable: valid while its generation
-// holds. err non-nil marks a negative entry (a cached deterministic
-// error).
+// holds.
 type entry struct {
 	key  string // generation-labeled: base + "@" + gen
 	hash uint64 // hash of the BASE key, shared by the policy sketches
 	val  any
-	err  error
 
 	expires  time.Time // zero: immutable
 	swrUntil time.Time // end of the stale-while-revalidate window
@@ -182,9 +165,7 @@ func New(cfg Config) *Cache {
 		capacity: cfg.Capacity,
 		ttl:      cfg.TTL,
 		swr:      cfg.SWR,
-		negTTL:   cfg.NegTTL,
 		clock:    cfg.Clock,
-		cachable: cfg.CacheableError,
 	}
 	perShard := cfg.Capacity / nshards
 	if perShard < 1 {
@@ -272,17 +253,6 @@ func (c *Cache) Do(key string, gen uint64, immutable bool, compute func() (any, 
 	if e, ok := sh.entries[string(kb)]; ok {
 		now := c.clock()
 		switch {
-		case e.err != nil:
-			// Negative entry: serve the cached error while it is fresh.
-			if e.expires.After(now) {
-				c.hits.Inc()
-				c.negHits.Inc()
-				sh.pol.touch(e)
-				err := e.err
-				sh.mu.Unlock()
-				return nil, true, err
-			}
-			sh.drop(e)
 		case e.expires.IsZero() || e.expires.After(now):
 			c.hits.Inc()
 			sh.pol.touch(e)
@@ -346,9 +316,9 @@ func (c *Cache) runFlight(sh *shard, genKey string, h, gen uint64, immutable boo
 	c.settle(sh, genKey, h, gen, immutable, f)
 }
 
-// settle removes a resolved flight and stores its outcome: successful
-// values always, cacheable errors when negative caching is on, everything
-// else clears the claim so a later stale hit may retry. Stores are
+// settle removes a resolved flight and stores its outcome: a successful
+// value is stored, an error clears the claim so a later stale hit may
+// retry. Stores are
 // refused when the shard has moved past gen — a stale-generation answer
 // is unreachable from the moment it lands, and letting it in would only
 // squat capacity.
@@ -359,18 +329,14 @@ func (c *Cache) settle(sh *shard, genKey string, h, gen uint64, immutable bool, 
 	if gen != sh.gen {
 		return
 	}
-	switch {
-	case f.err == nil:
-		c.store(sh, genKey, h, f.val, nil, immutable)
-	case c.cachable != nil && c.negTTL > 0 && c.cachable(f.err):
-		c.store(sh, genKey, h, nil, f.err, false)
-	default:
-		// Transient failure: if this was a revalidation flight the stale
-		// entry is still present — release the claim so the next stale
-		// hit can try again.
-		if e, ok := sh.entries[genKey]; ok {
-			e.revalidating = false
-		}
+	if f.err == nil {
+		c.store(sh, genKey, h, f.val, immutable)
+		return
+	}
+	// Failure: if this was a revalidation flight the stale entry is still
+	// present — release the claim so the next stale hit can try again.
+	if e, ok := sh.entries[genKey]; ok {
+		e.revalidating = false
 	}
 }
 
@@ -378,18 +344,14 @@ func (c *Cache) settle(sh *shard, genKey string, h, gen uint64, immutable bool, 
 // to the policy. The entry enters the map BEFORE the policy sees it: an
 // admission-controlled policy may evict the candidate itself, and the
 // eviction callback unconditionally deletes by key. Callers hold sh.mu.
-func (c *Cache) store(sh *shard, genKey string, h uint64, val any, err error, immutable bool) {
+func (c *Cache) store(sh *shard, genKey string, h uint64, val any, immutable bool) {
 	if old, ok := sh.entries[genKey]; ok {
 		sh.pol.remove(old)
 		delete(sh.entries, genKey)
 	}
-	e := &entry{key: genKey, hash: h, val: val, err: err}
-	now := c.clock()
-	switch {
-	case err != nil:
-		e.expires = now.Add(c.negTTL)
-	case !immutable:
-		e.expires = now.Add(c.ttl)
+	e := &entry{key: genKey, hash: h, val: val}
+	if !immutable {
+		e.expires = c.clock().Add(c.ttl)
 		if c.swr > 0 {
 			e.swrUntil = e.expires.Add(c.swr)
 		}
@@ -428,7 +390,6 @@ type Stats struct {
 	GhostHits        uint64 `json:"ghost_hits,omitempty"`
 	AdmissionRejects uint64 `json:"admission_rejects,omitempty"`
 	StaleServed      uint64 `json:"stale_served,omitempty"`
-	NegativeHits     uint64 `json:"negative_hits,omitempty"`
 }
 
 // Stats returns current cache counters, aggregated across shards.
@@ -445,7 +406,6 @@ func (c *Cache) Stats() Stats {
 		GhostHits:        c.ghostHits.Value(),
 		AdmissionRejects: c.admissionRejects.Value(),
 		StaleServed:      c.staleServed.Value(),
-		NegativeHits:     c.negHits.Value(),
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
@@ -479,7 +439,6 @@ func (c *Cache) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 	reg.RegisterCounter(prefix+"_ghost_hits_total", "Keys readmitted via the S3-FIFO ghost queue.", nil, &c.ghostHits)
 	reg.RegisterCounter(prefix+"_admission_rejects_total", "Candidates denied admission by the TinyLFU frequency filter.", nil, &c.admissionRejects)
 	reg.RegisterCounter(prefix+"_stale_served_total", "Expired entries served inside the stale-while-revalidate window.", nil, &c.staleServed)
-	reg.RegisterCounter(prefix+"_negative_hits_total", "Requests served a cached deterministic error.", nil, &c.negHits)
 	reg.GaugeFunc(prefix+"_entries", "Entries currently cached.", nil, func() float64 {
 		n := 0
 		for _, sh := range c.shards {

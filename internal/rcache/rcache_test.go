@@ -452,65 +452,6 @@ func TestCacheSWRRevalidationErrorReleasesClaim(t *testing.T) {
 	}
 }
 
-var errAbsent = errors.New("absent")
-
-func TestCacheNegativeCaching(t *testing.T) {
-	clk := &manualClock{now: time.Unix(0, 0)}
-	c := New(Config{
-		Capacity:       16,
-		TTL:            time.Minute,
-		NegTTL:         time.Second,
-		CacheableError: func(err error) bool { return errors.Is(err, errAbsent) },
-		Clock:          clk.Now,
-	})
-	computes := 0
-	get := func() (bool, error) {
-		_, cached, err := c.Do("missing", 0, false, func() (any, error) {
-			computes++
-			return nil, errAbsent
-		})
-		return cached, err
-	}
-	if cached, err := get(); cached || !errors.Is(err, errAbsent) {
-		t.Fatalf("first get = (cached=%v, err=%v)", cached, err)
-	}
-	// Repeat probes are served the cached error without reaching compute.
-	for i := 0; i < 3; i++ {
-		if cached, err := get(); !cached || !errors.Is(err, errAbsent) {
-			t.Fatalf("probe %d = (cached=%v, err=%v), want cached error", i, cached, err)
-		}
-	}
-	if computes != 1 {
-		t.Fatalf("computes = %d, want 1 (negative entry must absorb probes)", computes)
-	}
-	clk.Advance(2 * time.Second)
-	if cached, _ := get(); cached {
-		t.Fatal("negative entry served past NegTTL")
-	}
-	if computes != 2 {
-		t.Fatalf("computes = %d, want 2 after NegTTL expiry", computes)
-	}
-	st := c.Stats()
-	if st.NegativeHits != 3 {
-		t.Errorf("negative hits = %d, want 3", st.NegativeHits)
-	}
-	// Non-cacheable errors still bypass the cache entirely.
-	other := errors.New("transient")
-	calls := 0
-	for i := 0; i < 2; i++ {
-		_, cached, err := c.Do("flaky", 0, false, func() (any, error) {
-			calls++
-			return nil, other
-		})
-		if cached || !errors.Is(err, other) {
-			t.Fatalf("transient probe = (cached=%v, err=%v)", cached, err)
-		}
-	}
-	if calls != 2 {
-		t.Errorf("transient error was cached: %d computes", calls)
-	}
-}
-
 func TestCacheS3FIFOGhostReadmission(t *testing.T) {
 	c := New(Config{Capacity: 10, Shards: 1, Policy: PolicyS3FIFO, TTL: time.Minute})
 	get := func(key string) {

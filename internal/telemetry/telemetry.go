@@ -70,7 +70,7 @@ const (
 	TypeHistogram Type = "histogram"
 )
 
-// Labels name one series within a family, e.g. {"endpoint": "/v1/point"}.
+// Labels name one series within a family, e.g. {"endpoint": "/v2/query"}.
 // Keys are rendered in sorted order, so equal label sets are equal strings.
 type Labels map[string]string
 

@@ -75,7 +75,7 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 
 func TestWritePrometheusHistogram(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("req_seconds", "Request latency.", Labels{"endpoint": "/v1/point"}, []float64{0.1, 1})
+	h := r.Histogram("req_seconds", "Request latency.", Labels{"endpoint": "/v2/query"}, []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(0.5)
@@ -88,11 +88,11 @@ func TestWritePrometheusHistogram(t *testing.T) {
 	want := strings.Join([]string{
 		`# HELP req_seconds Request latency.`,
 		`# TYPE req_seconds histogram`,
-		`req_seconds_bucket{endpoint="/v1/point",le="0.1"} 1`,
-		`req_seconds_bucket{endpoint="/v1/point",le="1"} 3`,
-		`req_seconds_bucket{endpoint="/v1/point",le="+Inf"} 4`,
-		`req_seconds_sum{endpoint="/v1/point"} 3.05`,
-		`req_seconds_count{endpoint="/v1/point"} 4`,
+		`req_seconds_bucket{endpoint="/v2/query",le="0.1"} 1`,
+		`req_seconds_bucket{endpoint="/v2/query",le="1"} 3`,
+		`req_seconds_bucket{endpoint="/v2/query",le="+Inf"} 4`,
+		`req_seconds_sum{endpoint="/v2/query"} 3.05`,
+		`req_seconds_count{endpoint="/v2/query"} 4`,
 	}, "\n") + "\n"
 	if got := b.String(); got != want {
 		t.Errorf("histogram exposition mismatch:\ngot:\n%s\nwant:\n%s", got, want)

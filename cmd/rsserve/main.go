@@ -23,10 +23,9 @@
 // exposition; disable with -metrics=false). -pprof-addr additionally serves net/http/pprof on a
 // separate listener.
 //
-// The top-k result cache is sharded and policy-pluggable: -cache-policy picks
-// lru (default), s3fifo, or tinylfu; -cache-shards spreads lock contention;
-// -cache-swr serves expired live answers while one background flight
-// refreshes them (stale-while-revalidate).
+// The top-k result cache is one LRU of whole answers: -cache-size bounds
+// its entries and -cache-ttl the freshness of live (cumulative) answers;
+// sealed-window answers cache until the next seal.
 //
 // Writes flow through the async ingest plane: -ingest-workers pipeline
 // workers land each acked batch in the served sketch by insertion, under
@@ -59,7 +58,6 @@ import (
 	"repro/internal/netsum"
 	"repro/internal/query"
 	"repro/internal/queryd"
-	"repro/internal/rcache"
 	"repro/internal/sketch"
 	_ "repro/internal/sketch/all" // every registered variant servable by name
 	"repro/internal/telemetry/telhttp"
@@ -77,9 +75,6 @@ type serveFlags struct {
 	maxBatch   int
 	cacheSize  int
 	cacheTTL   time.Duration
-	cachePol   string
-	cacheShard int
-	cacheSWR   time.Duration
 	ckpt       string
 	ckptEvery  time.Duration
 	ingWorkers int
@@ -104,9 +99,6 @@ var (
 	errBadMaxBatch           = fmt.Errorf("rsserve: -max-batch must be in [1, %d] (the query-plane batch ceiling)", query.MaxBatchKeys)
 	errBadCacheSize          = errors.New("rsserve: -cache-size must be ≥ 1")
 	errNegativeCacheTTL      = errors.New("rsserve: -cache-ttl must be ≥ 0")
-	errNegativeCacheShards   = errors.New("rsserve: -cache-shards must be ≥ 0 (0 = default; rounded up to a power of two)")
-	errNegativeCacheSWR      = errors.New("rsserve: -cache-swr must be ≥ 0 (0 = serve-stale disabled)")
-	errBadCachePolicy        = errors.New("rsserve: -cache-policy must be lru, s3fifo, or tinylfu")
 	errCheckpointEveryNoPath = errors.New("rsserve: -checkpoint-every needs -checkpoint (an interval with nowhere to write)")
 	errShardsWithCollector   = errors.New("rsserve: -shards is standalone-only (collector agents shard by construction, one sketch per agent)")
 	errNegativeShards        = errors.New("rsserve: -shards must be ≥ 0")
@@ -141,10 +133,6 @@ func (f serveFlags) validate() error {
 		return errBadCacheSize
 	case f.cacheTTL < 0:
 		return errNegativeCacheTTL
-	case f.cacheShard < 0:
-		return errNegativeCacheShards
-	case f.cacheSWR < 0:
-		return errNegativeCacheSWR
 	case f.ckptEvery > 0 && f.ckpt == "":
 		return errCheckpointEveryNoPath
 	case f.shards < 0:
@@ -182,9 +170,6 @@ func (f serveFlags) validate() error {
 		if _, err := f.selfIndex(); err != nil {
 			return err
 		}
-	}
-	if _, err := rcache.ParsePolicy(f.cachePol); err != nil {
-		return fmt.Errorf("%w (got %q)", errBadCachePolicy, f.cachePol)
 	}
 	policy, err := ingest.ParsePolicy(f.ingPolicy)
 	if err != nil {
@@ -233,9 +218,6 @@ func main() {
 		noMerge    = flag.Bool("no-merge", false, "collector mode: disable the merged global view")
 		cacheSize  = flag.Int("cache-size", 4096, "result cache capacity (entries)")
 		cacheTTL   = flag.Duration("cache-ttl", 250*time.Millisecond, "freshness of cached live-window answers")
-		cachePol   = flag.String("cache-policy", "lru", "result cache eviction policy: lru, s3fifo, or tinylfu")
-		cacheShard = flag.Int("cache-shards", 0, "result cache shard count, rounded up to a power of two (0 = default)")
-		cacheSWR   = flag.Duration("cache-swr", 0, "stale-while-revalidate window after -cache-ttl: serve the expired answer while one background flight refreshes it (0 = off)")
 		maxBatch   = flag.Int("max-batch", query.MaxBatchKeys, "largest /v2/query key batch this server accepts")
 		ckpt       = flag.String("checkpoint", "", "checkpoint file path (warm-restarts from it when present)")
 		ckptEvery  = flag.Duration("checkpoint-every", 0, "periodic checkpoint interval (0 = only on demand and shutdown)")
@@ -263,9 +245,6 @@ func main() {
 		maxBatch:   *maxBatch,
 		cacheSize:  *cacheSize,
 		cacheTTL:   *cacheTTL,
-		cachePol:   *cachePol,
-		cacheShard: *cacheShard,
-		cacheSWR:   *cacheSWR,
 		ckpt:       *ckpt,
 		ckptEvery:  *ckptEvery,
 		ingWorkers: *ingWorkers,
@@ -289,9 +268,6 @@ func main() {
 	cfg := queryd.Config{
 		CacheCapacity:   *cacheSize,
 		CacheTTL:        *cacheTTL,
-		CachePolicy:     *cachePol,
-		CacheShards:     *cacheShard,
-		CacheSWR:        *cacheSWR,
 		MaxBatch:        *maxBatch,
 		CheckpointPath:  *ckpt,
 		CheckpointEvery: *ckptEvery,
@@ -438,8 +414,8 @@ func main() {
 			log.Fatalf("rsserve: %v", err)
 		}
 	}()
-	fmt.Printf("rsserve listening on http://%s (%s, %s, %dB, cache %d entries/%v TTL, policy %s)\n",
-		*listen, *algo, mode, *mem, *cacheSize, *cacheTTL, *cachePol)
+	fmt.Printf("rsserve listening on http://%s (%s, %s, %dB, LRU cache %d entries/%v TTL)\n",
+		*listen, *algo, mode, *mem, *cacheSize, *cacheTTL)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt)

@@ -18,9 +18,8 @@ func TestValidateFlags(t *testing.T) {
 		t.Fatalf("default-equivalent flags rejected: %v", err)
 	}
 	tuned := ok
-	tuned.cachePol = "s3fifo"
-	tuned.cacheShard = 16
-	tuned.cacheSWR = time.Second
+	tuned.cacheSize = 1
+	tuned.cacheTTL = time.Second
 	if err := tuned.validate(); err != nil {
 		t.Fatalf("tuned cache flags rejected: %v", err)
 	}
@@ -59,9 +58,6 @@ func TestValidateFlags(t *testing.T) {
 		{"oversized max-batch", func(f *serveFlags) { f.maxBatch = query.MaxBatchKeys + 1 }, errBadMaxBatch},
 		{"zero cache", func(f *serveFlags) { f.cacheSize = 0 }, errBadCacheSize},
 		{"negative ttl", func(f *serveFlags) { f.cacheTTL = -time.Second }, errNegativeCacheTTL},
-		{"negative cache shards", func(f *serveFlags) { f.cacheShard = -1 }, errNegativeCacheShards},
-		{"negative cache swr", func(f *serveFlags) { f.cacheSWR = -time.Second }, errNegativeCacheSWR},
-		{"unknown cache policy", func(f *serveFlags) { f.cachePol = "arc" }, errBadCachePolicy},
 		{"interval without path", func(f *serveFlags) { f.ckptEvery = time.Minute }, errCheckpointEveryNoPath},
 		{"negative shards", func(f *serveFlags) { f.shards = -2 }, errNegativeShards},
 		{"shards with collector", func(f *serveFlags) { f.shards = 4; f.collector = "127.0.0.1:7777" }, errShardsWithCollector},

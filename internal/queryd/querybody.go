@@ -118,7 +118,8 @@ func (p *queryParser) kind() error {
 // json.Encoder with HTML escaping off writes for r, trailing newline
 // included, which TestAppendExecResponseMatchesEncoder checks. Like that
 // encoder it writes nothing for a KeyCoverage JSON cannot express (NaN or
-// an infinity), which no surface produces.
+// an infinity), which no surface produces; handleExec answers that with
+// the 500 internal envelope.
 func appendExecResponse(dst []byte, r ExecResponse) []byte {
 	if math.IsNaN(r.KeyCoverage) || math.IsInf(r.KeyCoverage, 0) {
 		return dst

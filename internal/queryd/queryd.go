@@ -18,10 +18,10 @@ import (
 	"repro/internal/telemetry/telhttp"
 )
 
-// Config tunes the server. The zero value is usable: a 4096-entry sharded
-// LRU cache, 250ms TTL for live answers, query-plane batch limits, and no
-// checkpointing. The result cache fronts top-k only; /v2/query point and
-// window batches are never cached.
+// Config tunes the server. The zero value is usable: a 4096-entry LRU
+// result cache, 250ms TTL for live answers, query-plane batch limits, and
+// no checkpointing. The result cache fronts top-k only; /v2/query point
+// and window batches are never cached.
 type Config struct {
 	// CacheCapacity bounds the result cache (entries); ≤ 0 means 4096.
 	CacheCapacity int
@@ -29,20 +29,11 @@ type Config struct {
 	// ≤ 0 means 250ms. Sealed-window answers ignore it — they are immutable
 	// and cache until their generation is superseded.
 	CacheTTL time.Duration
-	// CachePolicy names the eviction/admission policy: rcache.PolicyLRU
-	// (the default), rcache.PolicyS3FIFO, or rcache.PolicyTinyLFU. Unknown
-	// names fail New.
+	// CachePolicy must be "" or "lru", the result cache's one eviction
+	// policy; anything else fails New with ErrCachePolicy. The field only
+	// remains because the bench/ harness sets it, and goes with the next
+	// change there.
 	CachePolicy string
-	// CacheShards is the result cache's shard count (rounded up to a power
-	// of two); ≤ 0 means rcache.DefaultShards.
-	CacheShards int
-	// CacheSWR is the stale-while-revalidate window appended after
-	// CacheTTL: an expired live answer still inside it is served
-	// immediately while one background flight refreshes the entry. Sound
-	// because a certified interval stays a correct interval for the state
-	// it was computed from — staleness costs freshness, never soundness.
-	// Zero disables SWR.
-	CacheSWR time.Duration
 	// MaxBatch caps the keys of one /v2/query request; ≤ 0 means the
 	// query-plane-wide query.MaxBatchKeys. Values above that are clamped —
 	// the shared limit protects every surface identically.
@@ -130,6 +121,9 @@ type WALBacked interface {
 	CheckpointCommitted() error
 }
 
+// ErrCachePolicy refuses a Config.CachePolicy other than "" or "lru".
+var ErrCachePolicy = errors.New(`queryd: the result cache is LRU only: CachePolicy must be "" or "lru"`)
+
 // New builds a server over b. Close it to stop background checkpointing.
 func New(b Backend, cfg Config) (*Server, error) {
 	if cfg.CacheCapacity <= 0 {
@@ -138,9 +132,8 @@ func New(b Backend, cfg Config) (*Server, error) {
 	if cfg.CacheTTL <= 0 {
 		cfg.CacheTTL = 250 * time.Millisecond
 	}
-	policy, err := rcache.ParsePolicy(cfg.CachePolicy)
-	if err != nil {
-		return nil, fmt.Errorf("queryd: %w", err)
+	if cfg.CachePolicy != "" && cfg.CachePolicy != "lru" {
+		return nil, fmt.Errorf("%w (got %q)", ErrCachePolicy, cfg.CachePolicy)
 	}
 	if cfg.MaxBatch <= 0 || cfg.MaxBatch > query.MaxBatchKeys {
 		cfg.MaxBatch = query.MaxBatchKeys
@@ -153,10 +146,7 @@ func New(b Backend, cfg Config) (*Server, error) {
 		cfg: cfg,
 		cache: rcache.New(rcache.Config{
 			Capacity: cfg.CacheCapacity,
-			Shards:   cfg.CacheShards,
-			Policy:   policy,
 			TTL:      cfg.CacheTTL,
-			SWR:      cfg.CacheSWR,
 			Clock:    cfg.Clock,
 		}),
 		mux:  http.NewServeMux(),
@@ -337,8 +327,7 @@ type ExecResponse struct {
 
 // CacheStats is the result cache's counter snapshot as it appears in
 // /v1/status. It is rcache.Stats verbatim: the first eight fields keep the
-// legacy JSON shape, and the policy-specific fields only appear when
-// non-zero.
+// legacy JSON shape, and coalesced_errors only appears when non-zero.
 type CacheStats = rcache.Stats
 
 // StatusResponse is the JSON body of /v1/status.
@@ -419,7 +408,15 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		resp = ExecResponse{Answer: ans}
 	}
 	buf.Reset()
-	buf.Write(appendExecResponse(buf.AvailableBuffer(), resp))
+	body := appendExecResponse(buf.AvailableBuffer(), resp)
+	if len(body) == 0 {
+		// Nothing written: the answer holds a value JSON cannot express.
+		// Answer as writeJSON does, never with a 200 and an empty body.
+		httpError(w, http.StatusInternalServerError, "internal",
+			fmt.Errorf("encoding response: unsupported key_coverage %v", resp.KeyCoverage))
+		return
+	}
+	buf.Write(body)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf.Bytes())

@@ -3,6 +3,7 @@ package queryd_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -163,6 +164,52 @@ func TestRepeatedQueriesHitCache(t *testing.T) {
 	st := getJSON[queryd.StatusResponse](t, ts.URL+"/v1/status")
 	if st.Cache.HitRate <= 0.9 {
 		t.Errorf("hit rate %.3f over %d repeated queries, want > 0.9", st.Cache.HitRate, repeats+1)
+	}
+}
+
+// TestTopKCacheTTLExpiry: a live top-k answer is served from the cache
+// until CacheTTL lapses, even after a write that changes it, and is
+// recomputed after.
+func TestTopKCacheTTLExpiry(t *testing.T) {
+	clk := &manualTestClock{now: time.Unix(0, 0)}
+	_, ts, _ := newStandaloneServer(t, queryd.Config{CacheTTL: time.Second, Clock: clk.Now})
+	insertItems(t, ts.URL, map[uint64]uint64{7: 100, 8: 50})
+	req := query.Request{Kind: query.TopK, K: 2}
+	first := execOK(t, ts.URL, req)
+	if first.Cached || len(first.PerKey) != 2 || first.PerKey[0].Key != 7 {
+		t.Fatalf("first top-k: cached=%v %+v, want uncached [7 8]", first.Cached, first.PerKey)
+	}
+	insertItems(t, ts.URL, map[uint64]uint64{9: 1000})
+
+	clk.Advance(500 * time.Millisecond)
+	r := execOK(t, ts.URL, req)
+	if !r.Cached || !reflect.DeepEqual(r.Answer, first.Answer) {
+		t.Fatalf("inside the TTL: cached=%v %+v, want the cached first answer %+v", r.Cached, r.Answer, first.Answer)
+	}
+
+	clk.Advance(600 * time.Millisecond)
+	r = execOK(t, ts.URL, req)
+	if r.Cached || len(r.PerKey) != 2 || r.PerKey[0].Key != 9 || r.PerKey[1].Key != 7 {
+		t.Fatalf("past the TTL: cached=%v %+v, want a fresh [9 7]", r.Cached, r.PerKey)
+	}
+}
+
+// TestNewRefusesUnknownCachePolicy: LRU is the one cache policy, so New
+// accepts only "" and "lru".
+func TestNewRefusesUnknownCachePolicy(t *testing.T) {
+	b, err := queryd.NewSketchBackend("Ours", sketch.Spec{MemoryBytes: 64 << 10, Lambda: 25, Seed: 1}, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []string{"", "lru"} {
+		s, err := queryd.New(b, queryd.Config{CachePolicy: policy})
+		if err != nil {
+			t.Fatalf("CachePolicy %q refused: %v", policy, err)
+		}
+		s.Close()
+	}
+	if _, err := queryd.New(b, queryd.Config{CachePolicy: "s3fifo"}); !errors.Is(err, queryd.ErrCachePolicy) {
+		t.Fatalf("CachePolicy s3fifo: err = %v, want ErrCachePolicy", err)
 	}
 }
 

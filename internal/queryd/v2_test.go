@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -194,6 +195,35 @@ func TestV2TopK(t *testing.T) {
 	r2, _ := postExec(t, ts.URL, query.Request{Kind: query.TopK, K: 1})
 	if !r2.Cached {
 		t.Error("repeated topk not served from cache")
+	}
+}
+
+// nanBackend answers every batch with a key coverage JSON cannot express.
+type nanBackend struct{}
+
+func (nanBackend) Execute(query.Request) (query.Answer, error) {
+	return query.Answer{PerKey: []query.Estimate{{Key: 1}}, Certified: true, KeyCoverage: math.NaN()}, nil
+}
+func (nanBackend) Generation() uint64    { return 0 }
+func (nanBackend) Epochal() bool         { return false }
+func (nanBackend) Status() queryd.Status { return queryd.Status{} }
+
+// TestV2UnencodableAnswerIs500: an answer the encoder cannot write is
+// answered with the 500 internal envelope, on the uncached point path and
+// the cached top-k path alike, never with a 200 and an empty body.
+func TestV2UnencodableAnswerIs500(t *testing.T) {
+	s, err := queryd.New(nanBackend{}, queryd.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, body := range []string{`{"kind":"point","keys":[1]}`, `{"kind":"topk","k":1}`} {
+		status, eb := errorEnvelope(t, "POST", ts.URL+"/v2/query", strings.NewReader(body))
+		if status != http.StatusInternalServerError || eb.Error.Code != "internal" || eb.Error.Message == "" {
+			t.Errorf("%s: answered %d %+v, want 500 internal", body, status, eb)
+		}
 	}
 }
 

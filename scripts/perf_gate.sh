@@ -84,14 +84,14 @@ gate_suite "wal" BENCH_wal.json BENCH_wal.fresh.json "$WAL_THRESHOLD" \
   go test -run '^$' -bench 'BenchmarkWAL' \
     -benchtime=1000x -benchmem -count=3 ./internal/wal
 
-# Result cache: two fixed run lengths in one suite. The zipf policy
-# benchmarks replay a whole 200k-key trace per op (3 replays each is
-# plenty — the hit rate they report is deterministic for the trace and is
-# gated with no tolerated drop); the hot-path benchmarks are nanosecond
-# scale and need the large fixed count, with the 0 allocs/op contract
-# enforced via -allocs.
+# Result cache: two fixed run lengths in one suite. The zipf LRU
+# benchmark replays a whole 200k-key trace per op (3 replays is plenty —
+# the hit rate it reports is deterministic for the trace and is gated with
+# no tolerated drop); the hot-path benchmarks are nanosecond scale and
+# need the large fixed count, with the 0 allocs/op contract enforced via
+# -allocs.
 gate_suite "cache" BENCH_cache.json BENCH_cache.fresh.json "$CACHE_THRESHOLD" \
-  bash -c "go test -run '^\$' -bench 'BenchmarkCache(LRU|S3FIFO|TinyLFU)\$' \
+  bash -c "go test -run '^\$' -bench 'BenchmarkCacheLRU\$' \
       -benchtime=3x -benchmem -count=3 ./internal/rcache && \
     go test -run '^\$' -bench 'BenchmarkCache(Hit|MissEvict)' \
       -benchtime=300000x -benchmem -count=3 ./internal/rcache"

@@ -61,7 +61,7 @@ func main() {
 		ingQueue    = flag.Int("ingest-queue", 0, "per-worker ingest queue depth in batches (0 = default)")
 		ingPolicy   = flag.String("ingest-policy", "block", "backpressure when ingest queues fill: block or drop")
 		walDir      = flag.String("wal-dir", "", "write-ahead-log directory: acked agent batches survive a crash and replay on restart (cumulative mode)")
-		walFsync    = flag.String("wal-fsync", "batch", "WAL durability: batch (fsync every append), a group-commit interval like 5ms, or off")
+		walFsync    = flag.String("wal-fsync", "batch", "WAL durability: batch (an append acks once an fsync covers it; concurrent appends share one) or off")
 		walSegSize  = flag.Int64("wal-segment-size", wal.DefaultSegmentBytes, "WAL segment rotation threshold (bytes)")
 		metricsAddr = flag.String("metrics-addr", "", "serve GET /metrics (Prometheus text exposition) on this address (off unless set)")
 		pprofAddr   = flag.String("pprof-addr", "", "also serve net/http/pprof on this address (off unless set)")
@@ -72,14 +72,14 @@ func main() {
 	if err != nil {
 		log.Fatalf("rscollector: %v", err)
 	}
+	fp, err := wal.ParseFsync(*walFsync)
+	if err != nil {
+		log.Fatalf("rscollector: -wal-fsync: %v", err)
+	}
 	var wlog *wal.Log
 	if *walDir != "" {
 		if err := wal.Refuse(*ep > 0, policy); err != nil {
 			log.Fatalf("rscollector: -wal-dir: %v", err)
-		}
-		fp, err := wal.ParseFsync(*walFsync)
-		if err != nil {
-			log.Fatalf("rscollector: -wal-fsync: %v", err)
 		}
 		wlog, err = wal.Open(wal.Options{Dir: *walDir, SegmentBytes: *walSegSize, Fsync: fp, Logf: log.Printf})
 		if err != nil {

@@ -181,9 +181,9 @@ func (f serveFlags) validate() error {
 		if err := wal.Refuse(f.epoch > 0, policy); err != nil {
 			return fmt.Errorf("rsserve: -wal-dir: %w", err)
 		}
-		if _, err := wal.ParseFsync(f.walFsync); err != nil {
-			return fmt.Errorf("rsserve: -wal-fsync: %w", err)
-		}
+	}
+	if _, err := wal.ParseFsync(f.walFsync); err != nil {
+		return fmt.Errorf("rsserve: -wal-fsync: %w", err)
 	}
 	return nil
 }
@@ -225,7 +225,7 @@ func main() {
 		ingQueue   = flag.Int("ingest-queue", ingest.DefaultQueue, "per-worker ingest queue depth (batches)")
 		ingPolicy  = flag.String("ingest-policy", "block", "backpressure when ingest queues fill: block or drop")
 		walDir     = flag.String("wal-dir", "", "write-ahead-log directory: acked writes survive a crash and replay on restart (cumulative mode)")
-		walFsync   = flag.String("wal-fsync", "batch", "WAL durability: batch (fsync every append), a group-commit interval like 5ms, or off")
+		walFsync   = flag.String("wal-fsync", "batch", "WAL durability: batch (an append acks once an fsync covers it; concurrent appends share one) or off")
 		walSegSize = flag.Int64("wal-segment-size", wal.DefaultSegmentBytes, "WAL segment rotation threshold (bytes)")
 		metrics    = flag.Bool("metrics", true, "serve GET /metrics (Prometheus text exposition) alongside the query API")
 		pprofAddr  = flag.String("pprof-addr", "", "also serve net/http/pprof on this address (off unless set)")

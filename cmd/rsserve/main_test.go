@@ -97,6 +97,11 @@ func TestValidateFlags(t *testing.T) {
 			f.walSegSize = 4096
 			f.ingPolicy = "drop"
 		}, wal.ErrDropPolicy},
+		{"wal with a group-commit interval", func(f *serveFlags) {
+			f.walDir = "/tmp/wal"
+			f.walSegSize = 4096
+			f.walFsync = "5ms"
+		}, wal.ErrFsyncPolicy},
 		{"router with checkpoint", func(f *serveFlags) {
 			f.router = true
 			f.peers = "http://a:1"

@@ -3,23 +3,17 @@ package wal
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/ingest"
 	"repro/internal/stream"
 )
 
-// BenchmarkWALAppend prices the durability policies against each other: how
-// much a per-batch fsync costs relative to amortizing it over a group-commit
-// interval, and what the pure write path costs with fsync off. Batches are
-// 64 items — a typical agent flush fragment — and b.N appends stream into
-// one log.
+// BenchmarkWALAppend prices the durability policies against each other: what
+// a lone writer's per-batch fsync costs, and what the pure write path costs
+// with fsync off. Batches are 64 items — a typical agent flush fragment —
+// and b.N appends stream into one log.
 func BenchmarkWALAppend(b *testing.B) {
-	policies := []FsyncPolicy{
-		{Mode: SyncEachBatch},
-		{Mode: SyncGroup, Interval: 2 * time.Millisecond},
-		{Mode: SyncOff},
-	}
+	policies := []FsyncPolicy{{Mode: SyncEachBatch}, {Mode: SyncOff}}
 	items := make([]stream.Item, 64)
 	for i := range items {
 		items[i] = stream.Item{Key: uint64(i * 7919), Value: 1}
@@ -43,35 +37,34 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkWALAppendParallel measures group commit under contention — the
-// policy's reason to exist: many producers share each fsync.
+// BenchmarkWALAppendParallel measures leader/follower fsync sharing under
+// batch: appends that arrive while one fsync is in flight all ride the next
+// one, so with many producers ns/op falls well below the serial row.
 func BenchmarkWALAppendParallel(b *testing.B) {
 	items := make([]stream.Item, 64)
 	for i := range items {
 		items[i] = stream.Item{Key: uint64(i * 7919), Value: 1}
 	}
-	for _, p := range []FsyncPolicy{{Mode: SyncEachBatch}, {Mode: SyncGroup, Interval: 2 * time.Millisecond}} {
-		b.Run(fmt.Sprintf("fsync=%s", p), func(b *testing.B) {
-			l, err := Open(Options{Dir: b.TempDir(), Fsync: p})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer l.Close()
-			batch := ingest.Batch{Items: items, Source: 1}
-			b.SetBytes(int64(len(items)) * 16)
-			// Group commit amortizes across concurrent appenders, not CPUs:
-			// force a real cohort even on single-core CI runners.
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := l.Append(batch); err != nil {
-						b.Fatal(err)
-					}
+	b.Run("fsync=batch", func(b *testing.B) {
+		l, err := Open(Options{Dir: b.TempDir(), Fsync: FsyncPolicy{Mode: SyncEachBatch}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer l.Close()
+		batch := ingest.Batch{Items: items, Source: 1}
+		b.SetBytes(int64(len(items)) * 16)
+		// Sharing amortizes across concurrent appenders, not CPUs: force
+		// real followers even on single-core CI runners.
+		b.SetParallelism(8)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, err := l.Append(batch); err != nil {
+					b.Fatal(err)
 				}
-			})
+			}
 		})
-	}
+	})
 }
 
 // BenchmarkWALReplay prices recovery: how fast a log streams back through a

@@ -13,58 +13,104 @@ import (
 	"repro/internal/ingest"
 )
 
-// scanSegment walks a segment validating every frame, returning the number
-// of whole records, the byte offset of the last whole record's end, and how
-// many bytes past it are torn (partial frame, implausible length, or CRC
-// mismatch — everything from the first bad frame on is untrusted, because
-// record boundaries past it cannot be known).
-func scanSegment(path string, wantFirst uint64) (records int, validBytes, tornBytes int64, err error) {
+// frameReader walks one segment file's frames after its header, and is the
+// one place that decides what a bad frame is: a partial header, a length
+// past maxRecordBytes or past the end of the file, a short payload, or a
+// CRC mismatch. scanSegment reads a bad frame as a torn tail, Replay as
+// corruption.
+type frameReader struct {
+	f       *os.File
+	br      *bufio.Reader
+	size    int64 // file size: no frame may claim bytes past it
+	offset  int64 // end of the last whole frame
+	frame   [frameHeaderLen]byte
+	payload []byte
+}
+
+// openFrames opens the segment at path, positioned at its header.
+func openFrames(path string) (*frameReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, 0, err
+		return nil, err
 	}
-	defer f.Close()
 	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &frameReader{f: f, br: bufio.NewReaderSize(f, 256<<10), size: fi.Size()}, nil
+}
+
+// header reads and checks the segment header against the file name's LSN.
+func (r *frameReader) header(wantFirst uint64) error {
+	var hdr [segmentHeaderLen]byte
+	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+		return fmt.Errorf("wal: %s: reading header: %w", filepath.Base(r.f.Name()), err)
+	}
+	r.offset = segmentHeaderLen
+	return checkSegmentHeader(hdr[:], wantFirst)
+}
+
+// next returns the next frame's payload, valid until the following call.
+// It returns io.EOF exactly at a clean end of file. The payload buffer
+// grows at most to the file's size and never past maxRecordBytes, so a
+// frame that lies about its length costs no allocation.
+func (r *frameReader) next() ([]byte, error) {
+	frame := r.frame[:]
+	if _, err := io.ReadFull(r.br, frame); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("partial frame header at offset %d", r.offset)
+	}
+	n := int64(binary.LittleEndian.Uint32(frame[:4]))
+	if n > maxRecordBytes || r.offset+frameHeaderLen+n > r.size {
+		return nil, fmt.Errorf("frame at offset %d claims %d bytes", r.offset, n)
+	}
+	if int64(cap(r.payload)) < n {
+		r.payload = make([]byte, min(max(n, 2*int64(cap(r.payload))), r.size, maxRecordBytes))
+	}
+	r.payload = r.payload[:n]
+	if _, err := io.ReadFull(r.br, r.payload); err != nil {
+		return nil, fmt.Errorf("frame at offset %d: %w", r.offset, err)
+	}
+	if crc32.Checksum(r.payload, crcTable) != binary.LittleEndian.Uint32(frame[4:]) {
+		return nil, fmt.Errorf("frame at offset %d fails its CRC", r.offset)
+	}
+	r.offset += frameHeaderLen + n
+	return r.payload, nil
+}
+
+// scanSegment validates every frame of the segment at path, returning the
+// number of whole records, the byte offset of the last whole record's end,
+// and how many bytes past it are torn.
+func scanSegment(path string, wantFirst uint64) (records int, validBytes, tornBytes int64, err error) {
+	r, err := openFrames(path)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	size := fi.Size()
-	br := bufio.NewReaderSize(f, 256<<10)
-	var hdr [segmentHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	defer r.f.Close()
+	return r.scan(wantFirst)
+}
+
+// scan is scanSegment on an open reader. Everything from the first bad
+// frame on is untrusted, because record boundaries past it cannot be known.
+func (r *frameReader) scan(wantFirst uint64) (records int, validBytes, tornBytes int64, err error) {
+	if r.size < segmentHeaderLen {
 		// Shorter than a header: the crash interrupted segment creation.
-		return 0, 0, size, nil
+		return 0, 0, r.size, nil
 	}
-	if err := checkSegmentHeader(hdr[:], wantFirst); err != nil {
+	if err := r.header(wantFirst); err != nil {
 		return 0, 0, 0, err
 	}
-	offset := int64(segmentHeaderLen)
-	var frame [frameHeaderLen]byte
-	payload := make([]byte, 0, 64<<10)
 	for {
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return records, offset, 0, nil // clean end
+		if _, err := r.next(); err != nil {
+			if err == io.EOF {
+				return records, r.offset, 0, nil
 			}
-			return records, offset, size - offset, nil // partial frame header
-		}
-		n := binary.LittleEndian.Uint32(frame[:4])
-		crc := binary.LittleEndian.Uint32(frame[4:])
-		if int64(n) > maxRecordBytes || offset+frameHeaderLen+int64(n) > size {
-			return records, offset, size - offset, nil // implausible or past EOF
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return records, offset, size - offset, nil
-		}
-		if crc32.Checksum(payload, crcTable) != crc {
-			return records, offset, size - offset, nil // torn or corrupt record
+			return records, r.offset, r.size - r.offset, nil
 		}
 		records++
-		offset += frameHeaderLen + int64(n)
 	}
 }
 
@@ -102,40 +148,21 @@ func (l *Log) Replay(after uint64, fn func(b ingest.Batch, lsn uint64) error) (r
 // replaySegment streams one segment's records [seg.first, segEnd) through
 // fn, skipping those at or below after.
 func (l *Log) replaySegment(seg segment, segEnd, after uint64, fn func(ingest.Batch, uint64) error) (uint64, error) {
-	f, err := os.Open(filepath.Join(l.opts.Dir, seg.name))
+	r, err := openFrames(filepath.Join(l.opts.Dir, seg.name))
 	if err != nil {
 		return 0, err
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 256<<10)
-	var hdr [segmentHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, fmt.Errorf("wal: %s: reading header: %w", seg.name, err)
-	}
-	if err := checkSegmentHeader(hdr[:], seg.first); err != nil {
+	defer r.f.Close()
+	if err := r.header(seg.first); err != nil {
 		return 0, err
 	}
 	var replayed uint64
-	var frame [frameHeaderLen]byte
-	payload := make([]byte, 0, 64<<10)
 	for lsn := seg.first; lsn < segEnd; lsn++ {
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
+		payload, err := r.next()
+		if err != nil {
+			// Open already truncated the torn tail, so a bad frame here is
+			// mid-log corruption.
 			return replayed, fmt.Errorf("wal: %s: record %d: %w", seg.name, lsn, err)
-		}
-		n := binary.LittleEndian.Uint32(frame[:4])
-		crc := binary.LittleEndian.Uint32(frame[4:])
-		if int64(n) > maxRecordBytes {
-			return replayed, fmt.Errorf("wal: %s: record %d claims %d bytes", seg.name, lsn, n)
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return replayed, fmt.Errorf("wal: %s: record %d payload: %w", seg.name, lsn, err)
-		}
-		if crc32.Checksum(payload, crcTable) != crc {
-			return replayed, fmt.Errorf("wal: %s: record %d fails its CRC (mid-log corruption)", seg.name, lsn)
 		}
 		if lsn <= after {
 			continue

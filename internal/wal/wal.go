@@ -8,10 +8,11 @@
 // order and the checkpoint watermark. Appends are made durable under a
 // configurable fsync policy before the caller acks:
 //
-//   - per-batch: every Append fsyncs before returning — an ack is durable.
-//   - group-commit: appends join a cohort; a background syncer fsyncs every
-//     interval and releases the whole cohort — acks are durable, at ~interval
-//     latency, with one fsync amortized over every batch in the cohort.
+//   - batch: Append returns once an fsync has covered its record, so an ack
+//     is durable. Concurrent appends share fsyncs: whichever waiting
+//     appender finds no fsync in flight leads one, and that one fsync covers
+//     every record written before it began (leader/follower group commit).
+//     A lone writer pays exactly one fsync per batch.
 //   - off: no per-append fsync — acks survive process crashes (the page
 //     cache persists) but not power loss. Segments still sync on rotation
 //     and close.
@@ -46,46 +47,31 @@ import (
 type SyncMode uint8
 
 const (
-	// SyncEachBatch fsyncs inside every Append: the strongest promise, one
-	// fsync per batch.
+	// SyncEachBatch returns from Append only once an fsync has covered the
+	// record: the ack is durable. Concurrent appends share one fsync.
 	SyncEachBatch SyncMode = iota
-	// SyncGroup batches fsyncs: Append waits for the next group commit, so
-	// the ack is still durable, at up to Interval extra latency.
-	SyncGroup
 	// SyncOff never fsyncs on the append path. Acks survive a process
 	// crash (the kernel holds the pages) but not power loss.
 	SyncOff
 )
 
-// DefaultGroupInterval is the group-commit cadence when none is given.
-const DefaultGroupInterval = 2 * time.Millisecond
-
 // FsyncPolicy is the operator-visible durability knob (-wal-fsync).
 type FsyncPolicy struct {
 	Mode SyncMode
-	// Interval is the group-commit cadence (SyncGroup only); ≤ 0 means
-	// DefaultGroupInterval.
-	Interval time.Duration
 }
 
 // String renders the policy in its flag spelling.
 func (p FsyncPolicy) String() string {
-	switch p.Mode {
-	case SyncGroup:
-		iv := p.Interval
-		if iv <= 0 {
-			iv = DefaultGroupInterval
-		}
-		return iv.String()
-	case SyncOff:
+	if p.Mode == SyncOff {
 		return "off"
 	}
 	return "batch"
 }
 
-// ParseFsync reads a -wal-fsync flag value: "batch" (per-batch, the
-// default), "off", or a duration ("2ms", "10ms") selecting group commit at
-// that interval.
+// ErrFsyncPolicy refuses a -wal-fsync value other than batch or off.
+var ErrFsyncPolicy = errors.New("wal: fsync policy must be batch or off")
+
+// ParseFsync reads a -wal-fsync flag value: "batch" (the default) or "off".
 func ParseFsync(s string) (FsyncPolicy, error) {
 	switch s {
 	case "", "batch", "per-batch":
@@ -93,11 +79,7 @@ func ParseFsync(s string) (FsyncPolicy, error) {
 	case "off", "none":
 		return FsyncPolicy{Mode: SyncOff}, nil
 	}
-	d, err := time.ParseDuration(s)
-	if err != nil || d <= 0 {
-		return FsyncPolicy{}, fmt.Errorf("wal: fsync policy %q (want batch, off, or a group-commit interval like 5ms)", s)
-	}
-	return FsyncPolicy{Mode: SyncGroup, Interval: d}, nil
+	return FsyncPolicy{}, fmt.Errorf("%w, not %q (batch already shares each fsync among concurrent appends)", ErrFsyncPolicy, s)
 }
 
 // DefaultSegmentBytes is the rotation threshold when Options leaves it 0.
@@ -148,15 +130,6 @@ type segment struct {
 	size  int64
 }
 
-// cohort is one group commit: every Append since the last sync waits on
-// done and reads err after the syncer (or a rotation/close sync) releases
-// it. n counts the appends amortized over the cohort's one fsync.
-type cohort struct {
-	done chan struct{}
-	err  error
-	n    int
-}
-
 // Log is the write-ahead log. Append is safe for concurrent use; Replay and
 // TruncateThrough serialize against appends internally. LSNs are 1-based
 // record ordinals across the log's whole life — segment file names carry
@@ -172,9 +145,19 @@ type Log struct {
 	nextLSN   uint64
 	watermark uint64
 	scratch   []byte
-	pending   *cohort
 	failed    error
 	closed    bool
+
+	// durable is the highest LSN an fsync has covered; records found at
+	// Open count as durable (this process never acked them). syncing is
+	// true while a leader fsyncs with l.mu released; synced (on l.mu) is
+	// broadcast when that fsync ends, whatever its outcome.
+	durable uint64
+	syncing bool
+	synced  sync.Cond
+	// syncFile is the fsync every path takes: (*os.File).Sync, replaced by
+	// tests to block or fail one mid-flight.
+	syncFile func(*os.File) error
 
 	// Counters double as the log's Prometheus instruments
 	// (RegisterMetrics): a telemetry.Counter is one atomic word, the same
@@ -189,18 +172,16 @@ type Log struct {
 	truncations telemetry.Counter
 
 	// Latency and cohort-shape distributions. Observations happen outside
-	// any per-item loop: once per Append, once per fsync, once per cohort.
-	// The histograms stay nil (observing into nil is a no-op) until
-	// RegisterMetrics allocates them, keeping Open allocation-free — the
-	// replay benchmark opens a log per iteration and the perf gate pins its
-	// allocs/op. Atomic pointers, because registration may race an append
-	// (a collector accepts connections before its CLI wires metrics up).
+	// any per-item loop: once per Append, and latency plus records covered
+	// once per fsync. The histograms stay nil (observing into nil is a
+	// no-op) until RegisterMetrics allocates them, keeping Open
+	// allocation-free — the replay benchmark opens a log per iteration and
+	// the perf gate pins its allocs/op. Atomic pointers, because
+	// registration may race an append (a collector accepts connections
+	// before its CLI wires metrics up).
 	appendSeconds atomic.Pointer[telemetry.Histogram]
 	fsyncSeconds  atomic.Pointer[telemetry.Histogram]
 	cohortSizes   atomic.Pointer[telemetry.Histogram]
-
-	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
 // Open opens (creating if needed) the log in opts.Dir: loads the manifest,
@@ -218,21 +199,12 @@ func Open(opts Options) (*Log, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: creating %s: %w", opts.Dir, err)
 	}
-	l := &Log{
-		opts: opts,
-		stop: make(chan struct{}),
-	}
+	l := &Log{opts: opts, syncFile: (*os.File).Sync}
+	l.synced.L = &l.mu
 	if err := l.load(); err != nil {
 		return nil, err
 	}
-	if opts.Fsync.Mode == SyncGroup {
-		iv := opts.Fsync.Interval
-		if iv <= 0 {
-			iv = DefaultGroupInterval
-		}
-		l.wg.Add(1)
-		go l.syncLoop(iv)
-	}
+	l.durable = l.nextLSN - 1
 	return l, nil
 }
 
@@ -319,22 +291,33 @@ func (l *Log) load() error {
 // sticky — the log refuses further appends rather than acking batches it
 // can no longer promise to keep.
 func (l *Log) Append(b ingest.Batch) (uint64, error) {
-	// Append latency is measured to the durable return — for SyncGroup that
-	// includes the cohort wait, which is the latency an acked producer saw.
+	// Append latency is measured to the durable return — under batch that
+	// includes waiting for a shared fsync, the latency an acked producer saw.
 	start := time.Now()
 	l.mu.Lock()
-	if err := l.usableLocked(); err != nil {
-		l.mu.Unlock()
-		return 0, err
-	}
-	l.scratch = appendRecord(l.scratch[:0], b)
-	rec := l.scratch
-	if l.curSize > segmentHeaderLen && l.curSize+int64(len(rec)) > l.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			l.failLocked(err)
+	var rec []byte
+	for {
+		if err := l.usableLocked(); err != nil {
 			l.mu.Unlock()
 			return 0, err
 		}
+		l.scratch = appendRecord(l.scratch[:0], b)
+		rec = l.scratch
+		if l.curSize <= segmentHeaderLen || l.curSize+int64(len(rec)) <= l.opts.SegmentBytes {
+			break
+		}
+		if !l.syncing {
+			if err := l.rotateLocked(); err != nil {
+				l.failLocked(err)
+				l.mu.Unlock()
+				return 0, err
+			}
+			break
+		}
+		// Rotation closes the active file, which a leader is fsyncing with
+		// l.mu released: wait for it, then re-encode, since other appends
+		// reused l.scratch meanwhile.
+		l.synced.Wait()
 	}
 	if _, err := l.f.Write(rec); err != nil {
 		err = fmt.Errorf("wal: appending record: %w", err)
@@ -347,30 +330,13 @@ func (l *Log) Append(b ingest.Batch) (uint64, error) {
 	l.nextLSN++
 	l.appended.Add(1)
 
-	switch l.opts.Fsync.Mode {
-	case SyncEachBatch:
-		err := l.syncLocked()
-		if err != nil {
-			l.failLocked(err)
-		}
-		l.mu.Unlock()
-		l.appendSeconds.Load().ObserveDuration(time.Since(start))
-		return lsn, err
-	case SyncGroup:
-		if l.pending == nil {
-			l.pending = &cohort{done: make(chan struct{})}
-		}
-		c := l.pending
-		c.n++
-		l.mu.Unlock()
-		<-c.done // released by the syncer, a rotation, or Close
-		l.appendSeconds.Load().ObserveDuration(time.Since(start))
-		return lsn, c.err
-	default: // SyncOff
-		l.mu.Unlock()
-		l.appendSeconds.Load().ObserveDuration(time.Since(start))
-		return lsn, nil
+	var err error
+	if l.opts.Fsync.Mode == SyncEachBatch {
+		err = l.awaitDurableLocked(lsn)
 	}
+	l.mu.Unlock()
+	l.appendSeconds.Load().ObserveDuration(time.Since(start))
+	return lsn, err
 }
 
 // usableLocked rejects appends on closed or failed logs.
@@ -381,62 +347,69 @@ func (l *Log) usableLocked() error {
 	return l.failed
 }
 
-// syncLocked fsyncs the active segment and stamps the counters.
-func (l *Log) syncLocked() error {
-	start := time.Now()
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+// awaitDurableLocked returns once an fsync has covered record lsn. While
+// none is in flight, the caller leads one itself: it releases l.mu for the
+// fsync, so appends arriving meanwhile write their records and wait, and
+// the next leader's single fsync covers them all. A failed fsync is sticky
+// and fails every waiter it did not cover; a record already durable
+// returns nil whatever happened after.
+func (l *Log) awaitDurableLocked(lsn uint64) error {
+	for l.durable < lsn {
+		if l.failed != nil {
+			return l.failed
+		}
+		if l.syncing {
+			l.synced.Wait()
+			continue
+		}
+		l.syncing = true
+		f, upTo := l.f, l.nextLSN-1
+		l.mu.Unlock()
+		start := time.Now()
+		err := l.syncFile(f)
+		took := time.Since(start)
+		l.mu.Lock()
+		l.syncing = false
+		if err != nil {
+			l.failLocked(fmt.Errorf("wal: fsync: %w", err))
+		} else {
+			l.markDurableLocked(upTo, took)
+		}
+		l.synced.Broadcast()
 	}
-	l.fsyncSeconds.Load().ObserveDuration(time.Since(start))
-	l.fsyncs.Inc()
-	l.lastFsync.Store(time.Now().UnixNano())
 	return nil
 }
 
-// releaseCohortLocked completes the pending group commit with err.
-func (l *Log) releaseCohortLocked(err error) {
-	if l.pending != nil {
-		l.cohortSizes.Load().Observe(float64(l.pending.n))
-		l.pending.err = err
-		close(l.pending.done)
-		l.pending = nil
+// syncLocked fsyncs the active segment without releasing l.mu — rotation
+// and Close, which must not let the file change under the fsync — and
+// marks every written record durable. No leader may be in flight.
+func (l *Log) syncLocked() error {
+	start := time.Now()
+	if err := l.syncFile(l.f); err != nil {
+		return fmt.Errorf("wal: fsync: %w", err)
 	}
+	l.markDurableLocked(l.nextLSN-1, time.Since(start))
+	return nil
 }
 
-// syncLoop is the group-commit syncer: every interval, if any appends are
-// waiting, one fsync makes the whole cohort durable.
-func (l *Log) syncLoop(interval time.Duration) {
-	defer l.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			l.mu.Lock()
-			if l.pending != nil && !l.closed {
-				err := l.syncLocked()
-				if err != nil {
-					l.failLocked(err)
-				}
-				l.releaseCohortLocked(err)
-			}
-			l.mu.Unlock()
-		case <-l.stop:
-			return
-		}
-	}
+// markDurableLocked records one successful fsync that covered every record
+// through upTo.
+func (l *Log) markDurableLocked(upTo uint64, took time.Duration) {
+	l.fsyncSeconds.Load().ObserveDuration(took)
+	l.cohortSizes.Load().Observe(float64(upTo - l.durable))
+	l.durable = upTo
+	l.fsyncs.Inc()
+	l.lastFsync.Store(time.Now().UnixNano())
 }
 
 // rotateLocked seals the active segment (fsync — sealed segments are always
 // complete on disk) and opens a fresh one at the current LSN, recording the
-// new order in the manifest. A pending group cohort's records all live in
-// the sealed file, so the rotation sync releases it.
+// new order in the manifest. The caller has made sure no leader is
+// fsyncing the file it closes.
 func (l *Log) rotateLocked() error {
 	if err := l.syncLocked(); err != nil {
-		l.releaseCohortLocked(err)
 		return err
 	}
-	l.releaseCohortLocked(nil)
 	if err := l.f.Close(); err != nil {
 		return err
 	}
@@ -528,31 +501,29 @@ func (l *Log) TruncateThrough(lsn uint64) error {
 	return nil
 }
 
-// Sync forces an fsync of the active segment regardless of policy.
-func (l *Log) Sync() error {
+// Close waits out an in-flight leader, then syncs and closes the active
+// segment. Further Appends fail. No appender is stranded: one sleeps only
+// while a leader is in flight, that leader's broadcast wakes it, and it
+// then finds its record durable, leads the next fsync, or sees the log
+// failed; Close's own fsync waits for any such leader. A failed log is not
+// synced again — a retried fsync proves nothing once the kernel may have
+// dropped the pages it could not write — and Close returns its failure.
+func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return errors.New("wal: log is closed")
-	}
-	return l.syncLocked()
-}
-
-// Close syncs and closes the active segment. Further Appends fail.
-func (l *Log) Close() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
-	l.mu.Unlock()
-	close(l.stop)
-	l.wg.Wait()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	err := l.syncLocked()
-	l.releaseCohortLocked(err)
+	for l.syncing {
+		l.synced.Wait()
+	}
+	err := l.failed
+	if err == nil {
+		if err = l.syncLocked(); err != nil {
+			l.failLocked(err)
+		}
+	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
@@ -567,8 +538,8 @@ func (l *Log) failLocked(err error) {
 }
 
 // Stats snapshots the log's counters under ONE l.mu hold. Every counter
-// write happens while holding l.mu (Append, syncLocked's callers, Replay,
-// and load all do), so the snapshot is fully consistent: appended never
+// write happens while holding l.mu (Append, every fsync's bookkeeping,
+// Replay, and load all do), so the snapshot is fully consistent: appended never
 // lags behind the LSN it produced, fsyncs never lag the appends they made
 // durable. Prometheus scrapes (RegisterMetrics) deliberately keep the
 // lock-free independent atomic loads instead — there, appended/fsyncs/
@@ -617,9 +588,9 @@ func (l *Log) RegisterMetrics(reg *telemetry.Registry) {
 	l.appendSeconds.CompareAndSwap(nil, telemetry.NewHistogram(telemetry.LatencyBuckets()))
 	l.fsyncSeconds.CompareAndSwap(nil, telemetry.NewHistogram(telemetry.LatencyBuckets()))
 	l.cohortSizes.CompareAndSwap(nil, telemetry.NewHistogram(telemetry.SizeBuckets()))
-	reg.RegisterHistogram("wal_append_duration_seconds", "Append latency to the durable return (includes group-commit wait).", nil, l.appendSeconds.Load())
+	reg.RegisterHistogram("wal_append_duration_seconds", "Append latency to the durable return (includes waiting for a shared fsync).", nil, l.appendSeconds.Load())
 	reg.RegisterHistogram("wal_fsync_duration_seconds", "Latency of one fsync of the active segment.", nil, l.fsyncSeconds.Load())
-	reg.RegisterHistogram("wal_cohort_size", "Appends amortized over one group-commit fsync.", nil, l.cohortSizes.Load())
+	reg.RegisterHistogram("wal_cohort_size", "Records covered by one fsync.", nil, l.cohortSizes.Load())
 	reg.GaugeFunc("wal_segments", "Live segment files.", nil, func() float64 {
 		l.mu.Lock()
 		defer l.mu.Unlock()
